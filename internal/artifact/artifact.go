@@ -16,15 +16,15 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"spanner/internal/graph"
 	"spanner/internal/oracle"
 	"spanner/internal/routing"
+	"spanner/internal/wordio"
 )
 
 const (
@@ -84,151 +84,100 @@ func Build(g *graph.Graph, spanner *graph.EdgeSet, algo string, k int, seed int6
 
 // fnvWords folds FNV-1a over a word slice — the same integrity footer the
 // reliable wire format and the distsim checkpoints use.
-func fnvWords(words []int64) int64 {
-	h := uint64(1469598103934665603)
-	for _, w := range words {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(byte(uint64(w) >> shift))
-			h *= 1099511628211
-		}
+func fnvWords(words []int64) int64 { return wordio.FNV(wordio.FromWords(words)) }
+
+// wordCount returns the length of the artifact's word stream (without the
+// checksum footer) without encoding it.
+func (a *Artifact) wordCount() int {
+	return 5 + len(a.Algo) + 2 + a.Graph.M() + 1 + a.Spanner.Len() +
+		1 + a.Oracle.WordCount() + 1 + a.Routing.WordCount()
+}
+
+// appendWords appends the artifact's word stream (without the checksum
+// footer), little-endian, to b.
+func (a *Artifact) appendWords(b []byte) []byte {
+	for _, w := range []int64{magic, version, a.Seed, int64(a.K), int64(len(a.Algo))} {
+		b = wordio.Append(b, w)
 	}
-	return int64(h)
+	for i := 0; i < len(a.Algo); i++ {
+		b = wordio.Append(b, int64(a.Algo[i]))
+	}
+	b = wordio.Append(b, int64(a.Graph.N()))
+	b = wordio.Append(b, int64(a.Graph.M()))
+	a.Graph.ForEachEdge(func(u, v int32) { b = wordio.Append(b, graph.EdgeKey(u, v)) })
+	spk := a.Spanner.Keys()
+	slices.Sort(spk)
+	b = wordio.Append(b, int64(len(spk)))
+	for _, k := range spk {
+		b = wordio.Append(b, k)
+	}
+	b = wordio.Append(b, int64(a.Oracle.WordCount()))
+	b = a.Oracle.AppendWords(b)
+	b = wordio.Append(b, int64(a.Routing.WordCount()))
+	return a.Routing.AppendWords(b)
+}
+
+// body returns the artifact's word stream bytes in a buffer pre-sized for
+// extra more words.
+func (a *Artifact) body(extra int) []byte {
+	return a.appendWords(make([]byte, 0, 8*(a.wordCount()+extra)))
 }
 
 // Words serializes the artifact to its word stream (without the checksum
 // footer Marshal appends).
-func (a *Artifact) Words() []int64 {
-	ow := a.Oracle.Words()
-	rw := a.Routing.Words()
-	n := a.Graph.N()
-	m := a.Graph.M()
-	w := make([]int64, 0, 10+len(a.Algo)+m+a.Spanner.Len()+len(ow)+len(rw))
-	w = append(w, magic, version, a.Seed, int64(a.K), int64(len(a.Algo)))
-	for i := 0; i < len(a.Algo); i++ {
-		w = append(w, int64(a.Algo[i]))
-	}
-	w = append(w, int64(n), int64(m))
-	a.Graph.ForEachEdge(func(u, v int32) { w = append(w, graph.EdgeKey(u, v)) })
-	spk := a.Spanner.Keys()
-	sort.Slice(spk, func(i, j int) bool { return spk[i] < spk[j] })
-	w = append(w, int64(len(spk)))
-	w = append(w, spk...)
-	w = append(w, int64(len(ow)))
-	w = append(w, ow...)
-	w = append(w, int64(len(rw)))
-	w = append(w, rw...)
-	return w
-}
+func (a *Artifact) Words() []int64 { return wordio.ToWords(a.body(0)) }
 
 // Marshal renders the artifact as its on-disk bytes: the word stream plus
-// FNV footer, little-endian.
+// FNV footer, little-endian, written straight into one pre-sized buffer.
 func (a *Artifact) Marshal() []byte {
-	words := a.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+	b := a.body(1)
+	return wordio.Append(b, wordio.FNV(b))
 }
 
-// reader consumes the artifact word stream with bounds checking.
-type reader struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *reader) get() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("%w: offset %d", ErrTruncated, r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-// count reads a length prefix and validates it against the remaining words
-// (at wordsPerEntry words each), so corrupt prefixes cannot trigger huge
-// allocations.
-func (r *reader) count(wordsPerEntry int) int {
-	n := r.get()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || int64(wordsPerEntry)*n > int64(len(r.buf)-r.pos) {
-		r.err = fmt.Errorf("%w: length %d at offset %d", ErrTruncated, n, r.pos)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) slice(n int) []int64 {
-	if r.err != nil {
-		return nil
-	}
-	s := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return s
-}
-
-// Unmarshal decodes artifact bytes produced by Marshal. All failures are
-// typed (ErrTruncated, ErrChecksum, ErrMagic, ErrVersion, ErrCorrupt or a
-// wrapped section error); malformed input never panics.
+// Unmarshal decodes artifact bytes produced by Marshal, reading the words
+// in place. All failures are typed (ErrTruncated, ErrChecksum, ErrMagic,
+// ErrVersion, ErrCorrupt or a wrapped section error); malformed input
+// never panics.
 func Unmarshal(data []byte) (*Artifact, error) {
-	if len(data)%8 != 0 || len(data) < 8*8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	body, err := decodeWords(data, magic, version, 8)
+	if err != nil {
+		return nil, err
 	}
-	words := make([]int64, len(data)/8)
-	for i := range words {
-		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	body, sum := words[:len(words)-1], words[len(words)-1]
-	if body[0] != magic {
-		return nil, ErrMagic
-	}
-	if body[1] != version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], version)
-	}
-	if fnvWords(body) != sum {
-		return nil, ErrChecksum
-	}
-	r := &reader{buf: body, pos: 2}
-	a := &Artifact{Seed: r.get()}
-	k := r.get()
-	if r.err == nil && (k < 1 || k > 64) {
+	return decodeBody(body)
+}
+
+// decodeBody decodes an artifact word stream (without footer) whose magic
+// and version words are already checked.
+func decodeBody(body []byte) (*Artifact, error) {
+	r := &wordio.Reader{Buf: body, Pos: 2, Trunc: ErrTruncated}
+	a := &Artifact{Seed: r.Get()}
+	k := r.Get()
+	if r.Err == nil && (k < 1 || k > 64) {
 		return nil, fmt.Errorf("%w: implausible oracle parameter k=%d", ErrCorrupt, k)
 	}
 	a.K = int(k)
-	nameLen := r.count(1)
+	nameLen := r.Count(1)
 	name := make([]byte, nameLen)
 	for i := range name {
-		c := r.get()
-		if r.err == nil && (c < 0 || c > 255) {
+		c := r.Get()
+		if r.Err == nil && (c < 0 || c > 255) {
 			return nil, fmt.Errorf("%w: algo name byte %d", ErrCorrupt, c)
 		}
 		name[i] = byte(c)
 	}
 	a.Algo = string(name)
-	n := r.get()
-	if r.err == nil && (n < 0 || n > 1<<31-1) {
+	n := r.Get()
+	if r.Err == nil && (n < 0 || n > 1<<31-1) {
 		return nil, fmt.Errorf("%w: vertex count %d", ErrCorrupt, n)
 	}
-	m := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+	m := r.Count(1)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	b := graph.NewBuilder(int(n))
 	prev := int64(-1)
 	for i := 0; i < m; i++ {
-		key := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
+		key := r.Get()
 		u, v := graph.UnpackEdgeKey(key)
 		if key <= prev || u < 0 || v < 0 || int64(u) >= n || int64(v) >= n || u == v {
 			return nil, fmt.Errorf("%w: graph edge key %d at index %d", ErrCorrupt, key, i)
@@ -240,17 +189,14 @@ func Unmarshal(data []byte) (*Artifact, error) {
 	if a.Graph.M() != m {
 		return nil, fmt.Errorf("%w: %d duplicate graph edges", ErrCorrupt, m-a.Graph.M())
 	}
-	sp := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+	sp := r.Count(1)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	a.Spanner = graph.NewEdgeSet(sp)
 	prev = -1
 	for i := 0; i < sp; i++ {
-		key := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
+		key := r.Get()
 		u, v := graph.UnpackEdgeKey(key)
 		if key <= prev || u < 0 || v < 0 || int64(u) >= n || int64(v) >= n || u == v {
 			return nil, fmt.Errorf("%w: spanner edge key %d at index %d", ErrCorrupt, key, i)
@@ -261,20 +207,20 @@ func Unmarshal(data []byte) (*Artifact, error) {
 		prev = key
 		a.Spanner.AddKey(key)
 	}
-	ow := r.slice(r.count(1))
-	rw := r.slice(r.count(1))
-	if r.err != nil {
-		return nil, r.err
+	ow := r.Slice(r.Count(1))
+	rw := r.Slice(r.Count(1))
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
+	if r.Pos != r.Len() {
+		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, r.Len()-r.Pos)
 	}
 	var err error
-	if a.Oracle, err = oracle.FromWords(a.Graph, ow); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if a.Oracle, err = oracle.Decode(a.Graph, ow); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	if a.Routing, err = routing.FromWords(a.Graph, rw); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if a.Routing, err = routing.Decode(a.Graph, rw); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return a, nil
 }

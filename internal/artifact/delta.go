@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"spanner/internal/graph"
 	"spanner/internal/oracle"
 	"spanner/internal/routing"
+	"spanner/internal/wordio"
 )
 
 const (
@@ -67,7 +67,7 @@ func (d *Delta) Updates() int {
 // Checksum returns the FNV-1a checksum of the artifact's word stream — the
 // generation identity deltas bind to. Two artifacts have equal checksums
 // iff they marshal to identical bytes.
-func (a *Artifact) Checksum() int64 { return fnvWords(a.Words()) }
+func (a *Artifact) Checksum() int64 { return wordio.FNV(a.body(0)) }
 
 // Diff computes the single-segment delta that patches base into next. Both
 // artifacts must be over the same vertex count; oracle and routing words
@@ -212,54 +212,35 @@ func (d *Delta) Words() []int64 {
 
 // Marshal renders the delta as bytes: word stream plus FNV footer.
 func (d *Delta) Marshal() []byte {
-	words := d.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+	b := wordio.FromWords(d.Words())
+	return wordio.Append(b, wordio.FNV(b))
 }
 
 // UnmarshalDelta decodes delta bytes produced by Marshal. Failures are
 // typed (ErrTruncated, ErrChecksum, ErrMagic, ErrVersion, ErrCorrupt) and
 // malformed input never panics (fuzzed by FuzzDeltaDecode).
 func UnmarshalDelta(data []byte) (*Delta, error) {
-	if len(data)%8 != 0 || len(data) < 5*8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	body, err := decodeWords(data, deltaMagic, deltaVersion, 5)
+	if err != nil {
+		return nil, err
 	}
-	words := make([]int64, len(data)/8)
-	for i := range words {
-		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	body, sum := words[:len(words)-1], words[len(words)-1]
-	if body[0] != deltaMagic {
-		return nil, fmt.Errorf("%w: not a delta file", ErrMagic)
-	}
-	if body[1] != deltaVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], deltaVersion)
-	}
-	if fnvWords(body) != sum {
-		return nil, ErrChecksum
-	}
-	r := &reader{buf: body, pos: 2}
-	d := &Delta{BaseSum: r.get()}
-	segs := r.count(8) // each segment holds at least 4 stats + 4 length words
-	if r.err != nil {
-		return nil, r.err
+	r := &wordio.Reader{Buf: body, Pos: 2, Trunc: ErrTruncated}
+	d := &Delta{BaseSum: r.Get()}
+	segs := r.Count(8) // each segment holds at least 4 stats + 4 length words
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	d.Segments = make([]DeltaSegment, segs)
 	for si := 0; si < segs; si++ {
 		seg := &d.Segments[si]
-		seg.Stats = SegmentStats{Admitted: r.get(), Filtered: r.get(), Repaired: r.get(), Rebuilds: r.get()}
-		if r.err == nil && (seg.Stats.Admitted < 0 || seg.Stats.Filtered < 0 || seg.Stats.Repaired < 0 || seg.Stats.Rebuilds < 0) {
+		seg.Stats = SegmentStats{Admitted: r.Get(), Filtered: r.Get(), Repaired: r.Get(), Rebuilds: r.Get()}
+		if r.Err == nil && (seg.Stats.Admitted < 0 || seg.Stats.Filtered < 0 || seg.Stats.Repaired < 0 || seg.Stats.Rebuilds < 0) {
 			return nil, fmt.Errorf("%w: segment %d has negative stats", ErrCorrupt, si)
 		}
 		for li, dst := range []*[]int64{&seg.GraphAdd, &seg.GraphDel, &seg.SpanAdd, &seg.SpanDel} {
-			cnt := r.count(1)
-			keys := r.slice(cnt)
-			if r.err != nil {
-				return nil, r.err
+			keys := wordio.ToWords(r.Slice(r.Count(1)))
+			if r.Err != nil {
+				return nil, r.Err
 			}
 			prev := int64(-1)
 			for _, k := range keys {
@@ -269,16 +250,16 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 				}
 				prev = k
 			}
-			if cnt > 0 {
-				*dst = append([]int64(nil), keys...)
+			if len(keys) > 0 {
+				*dst = keys
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
+	if r.Pos != r.Len() {
+		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, r.Len()-r.Pos)
 	}
 	return d, nil
 }

@@ -8,7 +8,8 @@ import (
 // FuzzArtifactDecode asserts the decode contract: Unmarshal never panics,
 // and every failure is one of the package's typed errors. Seeds include a
 // valid artifact (so the fuzzer starts deep inside the format), every
-// prefix-truncation class, and version/magic skew.
+// prefix-truncation class, version/magic skew, and unsorted or duplicate
+// table keys.
 func FuzzArtifactDecode(f *testing.F) {
 	a := testArtifact(f, 40, 2, 1)
 	valid := a.Marshal()
@@ -23,6 +24,10 @@ func FuzzArtifactDecode(f *testing.F) {
 	junk := append([]byte(nil), valid...)
 	junk[0] ^= 0xff // magic word
 	f.Add(junk)
+	// Unsorted and duplicate bunch / ball-table keys behind valid checksums.
+	for _, bad := range unsortedStreams(f, testArtifact(f, 120, 2, 3)) {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Unmarshal(data)

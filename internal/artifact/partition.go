@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"spanner/internal/wordio"
 )
 
 const (
@@ -86,87 +88,88 @@ func (p *Part) Owns(v int32) bool {
 
 // appendVertexList appends the sorted list of set indices as a
 // length-prefixed section.
-func appendVertexList(w []int64, set []bool) []int64 {
+func appendVertexList(b []byte, set []bool) []byte {
 	cnt := 0
-	for _, b := range set {
-		if b {
+	for _, in := range set {
+		if in {
 			cnt++
 		}
 	}
-	w = append(w, int64(cnt))
-	for v, b := range set {
-		if b {
-			w = append(w, int64(v))
+	b = wordio.Append(b, int64(cnt))
+	for v, in := range set {
+		if in {
+			b = wordio.Append(b, int64(v))
 		}
 	}
-	return w
+	return b
 }
 
-// Words serializes the part to its word stream (without the checksum
-// footer Marshal appends).
-func (p *Part) Words() []int64 {
-	aw := p.Art.Words()
-	w := make([]int64, 0, 8+len(p.Owned)+len(aw))
-	w = append(w, partMagic, partVersion, p.SplitID, int64(p.ID), int64(p.K))
-	w = appendVertexList(w, p.Owned)
-	w = appendVertexList(w, p.Boundary)
-	w = append(w, int64(len(aw)))
-	w = append(w, aw...)
-	return w
+// body returns the part's word stream bytes (without the checksum footer)
+// in a buffer pre-sized for extra more words.
+func (p *Part) body(extra int) []byte {
+	aw := p.Art.wordCount()
+	b := make([]byte, 0, 8*(8+len(p.Owned)+aw+extra))
+	for _, w := range []int64{partMagic, partVersion, p.SplitID, int64(p.ID), int64(p.K)} {
+		b = wordio.Append(b, w)
+	}
+	b = appendVertexList(b, p.Owned)
+	b = appendVertexList(b, p.Boundary)
+	b = wordio.Append(b, int64(aw))
+	return p.Art.appendWords(b)
 }
 
 // Checksum returns the FNV fold of the part's word stream — the value the
 // partition map pins and replicas report as their generation checksum.
-func (p *Part) Checksum() int64 { return fnvWords(p.Words()) }
+func (p *Part) Checksum() int64 { return wordio.FNV(p.body(0)) }
 
 // Marshal renders the part as its on-disk bytes: word stream plus FNV
 // footer, little-endian.
 func (p *Part) Marshal() []byte {
-	words := p.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+	b := p.body(1)
+	return wordio.Append(b, wordio.FNV(b))
 }
 
-// decodeWords converts little-endian bytes to words and peels the FNV
-// footer, validating magic, version and checksum.
-func decodeWords(data []byte, wantMagic, wantVersion int64, minWords int) ([]int64, error) {
+// decodeWords peels the FNV footer off little-endian stream bytes,
+// validating length, magic, version and checksum, and returns the body in
+// place.
+func decodeWords(data []byte, wantMagic, wantVersion int64, minWords int) ([]byte, error) {
 	if len(data)%8 != 0 || len(data) < 8*minWords {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
-	words := make([]int64, len(data)/8)
-	for i := range words {
-		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+	body := data[:len(data)-8]
+	if err := checkHeader(body, wantMagic, wantVersion); err != nil {
+		return nil, err
 	}
-	body, sum := words[:len(words)-1], words[len(words)-1]
-	if body[0] != wantMagic {
-		return nil, ErrMagic
-	}
-	if body[1] != wantVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], wantVersion)
-	}
-	if fnvWords(body) != sum {
+	if wordio.FNV(body) != int64(binary.LittleEndian.Uint64(data[len(body):])) {
 		return nil, ErrChecksum
 	}
 	return body, nil
 }
 
+// checkHeader validates a stream's magic and version words.
+func checkHeader(body []byte, wantMagic, wantVersion int64) error {
+	if int64(binary.LittleEndian.Uint64(body)) != wantMagic {
+		return ErrMagic
+	}
+	if v := int64(binary.LittleEndian.Uint64(body[8:])); v != wantVersion {
+		return fmt.Errorf("%w: got %d, want %d", ErrVersion, v, wantVersion)
+	}
+	return nil
+}
+
 // readVertexSet decodes a sorted vertex list section into a []bool of
 // length n, rejecting out-of-range, unsorted or duplicate entries.
-func readVertexSet(r *reader, n int, what string) ([]bool, error) {
-	cnt := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+func readVertexSet(r *wordio.Reader, n int, what string) ([]bool, error) {
+	cnt := r.Count(1)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	set := make([]bool, n)
 	prev := int64(-1)
 	for i := 0; i < cnt; i++ {
-		v := r.get()
-		if r.err != nil {
-			return nil, r.err
+		v := r.Get()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if v <= prev || v >= int64(n) {
 			return nil, fmt.Errorf("%w: %s vertex %d at index %d", ErrCorrupt, what, v, i)
@@ -184,10 +187,10 @@ func UnmarshalPart(data []byte) (*Part, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: body, pos: 2}
-	p := &Part{SplitID: r.get(), ID: int(r.get()), K: int(r.get())}
-	if r.err != nil {
-		return nil, r.err
+	r := &wordio.Reader{Buf: body, Pos: 2, Trunc: ErrTruncated}
+	p := &Part{SplitID: r.Get(), ID: int(r.Get()), K: int(r.Get())}
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if p.K < 1 || p.K > 1<<20 || p.ID < 0 || p.ID >= p.K {
 		return nil, fmt.Errorf("%w: partition id %d of %d", ErrCorrupt, p.ID, p.K)
@@ -196,8 +199,8 @@ func UnmarshalPart(data []byte) (*Part, error) {
 	// artifact further along the stream, so decode them against a
 	// permissive bound first and re-validate against the artifact's n
 	// afterwards. The oracle section always holds > n words, so any valid
-	// vertex id fits under len(body).
-	permissive := len(body)
+	// vertex id fits under the body length.
+	permissive := r.Len()
 	owned, err := readVertexSet(r, permissive, "owned")
 	if err != nil {
 		return nil, err
@@ -206,20 +209,22 @@ func UnmarshalPart(data []byte) (*Part, error) {
 	if err != nil {
 		return nil, err
 	}
-	alen := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+	aw := r.Slice(r.Count(1))
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	aw := r.slice(alen)
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
+	if r.Pos != r.Len() {
+		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, r.Len()-r.Pos)
 	}
-	abuf := make([]byte, 8*(len(aw)+1))
-	for i, v := range aw {
-		binary.LittleEndian.PutUint64(abuf[8*i:], uint64(v))
+	// The embedded artifact is covered by the part's checksum; it only
+	// needs the framing checks Unmarshal makes before its own.
+	if len(aw) < 7*8 {
+		return nil, fmt.Errorf("embedded artifact: %w: %d bytes", ErrTruncated, len(aw))
 	}
-	binary.LittleEndian.PutUint64(abuf[8*len(aw):], uint64(fnvWords(aw)))
-	art, err := Unmarshal(abuf)
+	if err := checkHeader(aw, magic, version); err != nil {
+		return nil, fmt.Errorf("embedded artifact: %w", err)
+	}
+	art, err := decodeBody(aw)
 	if err != nil {
 		return nil, fmt.Errorf("embedded artifact: %w", err)
 	}
@@ -325,13 +330,8 @@ func (m *PartitionMap) Checksum() int64 { return fnvWords(m.Words()) }
 
 // Marshal renders the map as its on-disk bytes.
 func (m *PartitionMap) Marshal() []byte {
-	words := m.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+	b := wordio.FromWords(m.Words())
+	return wordio.Append(b, wordio.FNV(b))
 }
 
 // UnmarshalPartitionMap decodes map bytes produced by PartitionMap.Marshal.
@@ -343,33 +343,33 @@ func UnmarshalPartitionMap(data []byte) (*PartitionMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: body, pos: 2}
-	m := &PartitionMap{SplitID: r.get(), BaseChecksum: r.get(), K: int(r.get())}
-	if r.err != nil {
-		return nil, r.err
+	r := &wordio.Reader{Buf: body, Pos: 2, Trunc: ErrTruncated}
+	m := &PartitionMap{SplitID: r.Get(), BaseChecksum: r.Get(), K: int(r.Get())}
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if m.K < 1 || m.K > 1<<20 {
 		return nil, fmt.Errorf("%w: partition count %d", ErrCorrupt, m.K)
 	}
-	n := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+	n := r.Count(1)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	m.N = n
 	m.Owner = make([]int32, n)
 	for v := 0; v < n; v++ {
-		o := r.get()
-		if r.err != nil {
-			return nil, r.err
+		o := r.Get()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if o < 0 || o >= int64(m.K) {
 			return nil, fmt.Errorf("%w: owner %d of vertex %d out of [0,%d)", ErrCorrupt, o, v, m.K)
 		}
 		m.Owner[v] = int32(o)
 	}
-	np := r.count(4)
-	if r.err != nil {
-		return nil, r.err
+	np := r.Count(4)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if np != m.K {
 		return nil, fmt.Errorf("%w: %d part refs for K=%d", ErrCorrupt, np, m.K)
@@ -377,11 +377,11 @@ func UnmarshalPartitionMap(data []byte) (*PartitionMap, error) {
 	seen := make([]bool, m.K)
 	m.Parts = make([]PartRef, 0, np)
 	for i := 0; i < np; i++ {
-		id := r.get()
-		sum := r.get()
-		verts := r.get()
-		if r.err != nil {
-			return nil, r.err
+		id := r.Get()
+		sum := r.Get()
+		verts := r.Get()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if id < 0 || id >= int64(m.K) {
 			return nil, fmt.Errorf("%w: part ref id %d out of [0,%d)", ErrCorrupt, id, m.K)
@@ -393,25 +393,25 @@ func UnmarshalPartitionMap(data []byte) (*PartitionMap, error) {
 		if verts < 0 || verts > int64(n) {
 			return nil, fmt.Errorf("%w: part %d owns %d of %d vertices", ErrCorrupt, id, verts, n)
 		}
-		plen := r.count(1)
-		if r.err != nil {
-			return nil, r.err
+		plen := r.Count(1)
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		path := make([]byte, plen)
 		for j := range path {
-			c := r.get()
-			if r.err == nil && (c < 0 || c > 255) {
+			c := r.Get()
+			if r.Err == nil && (c < 0 || c > 255) {
 				return nil, fmt.Errorf("%w: part path byte %d", ErrCorrupt, c)
 			}
 			path[j] = byte(c)
 		}
 		m.Parts = append(m.Parts, PartRef{ID: int(id), Checksum: sum, Path: string(path), Vertices: int(verts)})
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
+	if r.Pos != r.Len() {
+		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, r.Len()-r.Pos)
 	}
 	return m, nil
 }

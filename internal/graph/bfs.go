@@ -18,6 +18,29 @@ func (g *Graph) BFSWithParents(src int32) (dist, parent []int32) {
 	return dist, parent
 }
 
+// BFSTree fills parent (length N) with the same shortest-path tree from src
+// as BFSWithParents (parent[src] == src; Unreachable for unreached v),
+// without the distance and owner arrays a multi-source search keeps. queue
+// is scratch, reused across calls; its grown backing array is returned for
+// the next call.
+func (g *Graph) BFSTree(src int32, parent, queue []int32) []int32 {
+	for i := range parent {
+		parent[i] = Unreachable
+	}
+	parent[src] = src
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.Neighbors(u) {
+			if parent[v] == Unreachable {
+				parent[v] = u
+				queue = append(queue, v)
+			}
+		}
+	}
+	return queue
+}
+
 // MultiSourceBFS runs a breadth-first search from all sources at once.
 //
 // It returns, for every vertex v:

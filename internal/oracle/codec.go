@@ -1,98 +1,87 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"spanner/internal/graph"
+	"spanner/internal/wordio"
 )
 
 // Flat word-stream codec for a built oracle, following the conventions of
 // the distsim checkpoints and the reliable-transport wire format: every
-// structure is a length-prefixed int64 stream, map contents are emitted in
-// sorted key order so the stream is deterministic, and decoding is
-// bounds-checked so corrupt input returns an error instead of panicking.
-// The graph itself is not part of the stream — the serving artifact carries
-// it once and passes it back to FromWords.
+// structure is a length-prefixed int64 stream in a deterministic order, and
+// decoding is bounds-checked so corrupt input returns an error instead of
+// panicking. The stream is, in order: k, n; level[v]; witness/distTo per
+// level and vertex; per vertex either -1 (absent bunch) or the entry count
+// followed by (w, δ) pairs in strictly ascending w — the bunch table's CSR
+// rows exactly as stored, so neither side sorts; then the spanner edge
+// keys, strictly ascending. The graph itself is not part of the stream —
+// the serving artifact carries it once and passes it back to Decode.
 
-// Words serializes the oracle (everything except the graph) to a flat word
-// stream. Encoding the same oracle twice yields identical streams.
-func (o *Oracle) Words() []int64 {
+var errTruncated = errors.New("oracle: truncated stream")
+
+// WordCount returns the length of the Words stream without encoding it.
+func (o *Oracle) WordCount() int {
 	n := o.g.N()
-	w := make([]int64, 0, 2+n*(2*o.k+2))
-	w = append(w, int64(o.k), int64(n))
+	return 2 + n + 2*o.k*n + n + 2*o.bunch.Entries() + 1 + len(o.spanner)
+}
+
+// AppendWords appends the oracle's word stream (everything except the
+// graph), little-endian, to b. Encoding the same oracle twice yields
+// identical bytes.
+func (o *Oracle) AppendWords(b []byte) []byte {
+	n := o.g.N()
+	b = wordio.Append(b, int64(o.k))
+	b = wordio.Append(b, int64(n))
 	for _, l := range o.level {
-		w = append(w, int64(l))
+		b = wordio.Append(b, int64(l))
 	}
 	for i := 0; i < o.k; i++ {
 		for v := 0; v < n; v++ {
-			w = append(w, int64(o.witness[i][v]), int64(o.distTo[i][v]))
+			b = wordio.Append(b, int64(o.witness[i][v]))
+			b = wordio.Append(b, int64(o.distTo[i][v]))
 		}
 	}
-	for v := 0; v < n; v++ {
-		b := o.bunch[v]
-		if b == nil {
-			w = append(w, -1)
+	for v := int32(0); int(v) < n; v++ {
+		if !o.bunch.Has(v) {
+			b = wordio.Append(b, -1)
 			continue
 		}
-		keys := make([]int32, 0, len(b))
-		for u := range b {
-			keys = append(keys, u)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w = append(w, int64(len(keys)))
-		for _, u := range keys {
-			w = append(w, int64(u), int64(b[u]))
+		keys, vals := o.bunch.Row(v)
+		b = wordio.Append(b, int64(len(keys)))
+		for j, w := range keys {
+			b = wordio.Append(b, int64(w))
+			b = wordio.Append(b, int64(vals[j]))
 		}
 	}
-	spk := o.spanner.Keys()
-	sort.Slice(spk, func(i, j int) bool { return spk[i] < spk[j] })
-	w = append(w, int64(len(spk)))
-	w = append(w, spk...)
-	return w
+	b = wordio.Append(b, int64(len(o.spanner)))
+	for _, k := range o.spanner {
+		b = wordio.Append(b, k)
+	}
+	return b
 }
 
-// wordReader consumes a codec word stream with bounds checking.
-type wordReader struct {
-	buf []int64
-	pos int
-	err error
+// Words returns the oracle's word stream as a slice.
+func (o *Oracle) Words() []int64 {
+	return wordio.ToWords(o.AppendWords(make([]byte, 0, 8*o.WordCount())))
 }
 
-func (r *wordReader) get() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("oracle: truncated stream (offset %d)", r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-// count reads a non-negative length that cannot exceed the remaining words.
-func (r *wordReader) count() int {
-	n := r.get()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || int(n) > len(r.buf)-r.pos {
-		r.err = fmt.Errorf("oracle: corrupt length %d at offset %d", n, r.pos)
-		return 0
-	}
-	return int(n)
-}
-
-// FromWords reconstructs an oracle over g from a Words stream. The decoded
-// oracle's Query answers are identical to the encoded one's.
+// FromWords reconstructs an oracle over g from a Words stream.
 func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
-	r := &wordReader{buf: words}
-	k := int(r.get())
-	n := int(r.get())
-	if r.err != nil {
-		return nil, r.err
+	return Decode(g, wordio.FromWords(words))
+}
+
+// Decode reconstructs an oracle over g from the little-endian bytes of a
+// Words stream, reading them in place. The decoded oracle's Query answers
+// are identical to the encoded one's. Bunch keys that are not strictly
+// ascending are refused with graph.ErrUnsortedRow.
+func Decode(g *graph.Graph, data []byte) (*Oracle, error) {
+	r := &wordio.Reader{Buf: data, Trunc: errTruncated}
+	k := int(r.Get())
+	n := int(r.Get())
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if k < 1 || k > 64 {
 		return nil, fmt.Errorf("oracle: implausible stretch parameter k=%d", k)
@@ -100,18 +89,19 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 	if n != g.N() {
 		return nil, fmt.Errorf("oracle: stream is for %d vertices, graph has %d", n, g.N())
 	}
+	if r.Len()-r.Pos < n*(1+2*k+1)+1 {
+		return nil, fmt.Errorf("%w: %d words for %d vertices", errTruncated, r.Len()-r.Pos, n)
+	}
 	o := &Oracle{
 		g:       g,
 		k:       k,
 		level:   make([]int8, n),
 		witness: make([][]int32, k),
 		distTo:  make([][]int32, k),
-		bunch:   make([]map[int32]int32, n),
-		spanner: graph.NewEdgeSet(2 * n),
 	}
 	for v := 0; v < n; v++ {
-		lvl := r.get()
-		if r.err == nil && (lvl < 0 || int(lvl) >= k) {
+		lvl := r.Get()
+		if lvl < 0 || int(lvl) >= k {
 			return nil, fmt.Errorf("oracle: level %d of vertex %d out of [0,%d)", lvl, v, k)
 		}
 		o.level[v] = int8(lvl)
@@ -120,48 +110,51 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 		o.witness[i] = make([]int32, n)
 		o.distTo[i] = make([]int32, n)
 		for v := 0; v < n; v++ {
-			o.witness[i][v] = int32(r.get())
-			o.distTo[i][v] = int32(r.get())
+			o.witness[i][v] = int32(r.Get())
+			o.distTo[i][v] = int32(r.Get())
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
+	o.bunch = graph.NewTable(n, (r.Len()-r.Pos-n)/2)
 	for v := 0; v < n; v++ {
-		c := r.get()
-		if r.err != nil {
-			return nil, r.err
+		c := r.Get()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if c < 0 {
 			if c != -1 {
 				return nil, fmt.Errorf("oracle: corrupt bunch length %d", c)
 			}
+			o.bunch.EndRow(false)
 			continue
 		}
-		if int(c)*2 > len(words)-r.pos {
+		if c > int64(r.Len()-r.Pos)/2 {
 			return nil, fmt.Errorf("oracle: truncated bunch of vertex %d", v)
 		}
-		b := make(map[int32]int32, c)
 		for j := int64(0); j < c; j++ {
-			u := int32(r.get())
-			b[u] = int32(r.get())
+			w := int32(r.Get())
+			if err := o.bunch.Append(w, int32(r.Get())); err != nil {
+				return nil, fmt.Errorf("oracle: bunch of vertex %d at key %d: %w", v, w, err)
+			}
 		}
-		o.bunch[v] = b
+		o.bunch.EndRow(true)
 	}
-	ne := r.count()
-	for i := 0; i < ne; i++ {
-		key := r.get()
+	o.spanner = make([]int64, r.Count(1))
+	for i := range o.spanner {
+		key := r.Get()
 		u, v := graph.UnpackEdgeKey(key)
 		if u < 0 || v < 0 || int(u) >= n || int(v) >= n || u == v {
 			return nil, fmt.Errorf("oracle: spanner edge (%d,%d) out of range", u, v)
 		}
-		o.spanner.AddKey(key)
+		if i > 0 && key <= o.spanner[i-1] {
+			return nil, fmt.Errorf("oracle: spanner edge keys not strictly ascending at index %d", i)
+		}
+		o.spanner[i] = key
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.pos != len(words) {
-		return nil, fmt.Errorf("oracle: %d trailing words", len(words)-r.pos)
+	if r.Pos != r.Len() || len(data)%8 != 0 {
+		return nil, fmt.Errorf("oracle: %d trailing words", r.Len()-r.Pos)
 	}
 	return o, nil
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -33,8 +34,9 @@ func TestCodecRoundTripIdentical(t *testing.T) {
 		if o2.Spanner().Len() != o.Spanner().Len() {
 			t.Fatalf("k=%d: spanner size changed", k)
 		}
+		s2 := o2.Spanner()
 		o.Spanner().ForEach(func(u, v int32) {
-			if !o2.Spanner().Has(u, v) {
+			if !s2.Has(u, v) {
 				t.Fatalf("k=%d: spanner lost edge (%d,%d)", k, u, v)
 			}
 		})
@@ -77,5 +79,31 @@ func TestCodecRejectsCorruptStreams(t *testing.T) {
 	}
 	if _, err := FromWords(g, append(append([]int64(nil), words...), 0)); err == nil {
 		t.Fatal("trailing words must error")
+	}
+}
+
+// TestCodecRejectsUnsortedBunch: bunch keys must be strictly ascending; an
+// unsorted or duplicate key is refused with graph.ErrUnsortedRow instead of
+// being merged.
+func TestCodecRejectsUnsortedBunch(t *testing.T) {
+	g := graph.ConnectedGnp(80, 0.08, rand.New(rand.NewSource(5)))
+	o, err := New(g, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := o.Words()
+	row := 2 + g.N() + 2*o.K()*g.N() // vertex 0's bunch
+	for words[row] < 2 {
+		row += 1 + 2*int(words[row])
+	}
+	for name, mutate := range map[string]func(w []int64){
+		"unsorted":  func(w []int64) { w[row+1], w[row+3] = w[row+3], w[row+1] },
+		"duplicate": func(w []int64) { w[row+3] = w[row+1] },
+	} {
+		bad := append([]int64(nil), words...)
+		mutate(bad)
+		if _, err := FromWords(g, bad); !errors.Is(err, graph.ErrUnsortedRow) {
+			t.Errorf("%s bunch: got %v, want graph.ErrUnsortedRow", name, err)
+		}
 	}
 }

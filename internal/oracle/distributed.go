@@ -173,9 +173,9 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		level:   make([]int8, n),
 		witness: make([][]int32, k),
 		distTo:  make([][]int32, k),
-		bunch:   make([]map[int32]int32, n),
-		spanner: graph.NewEdgeSet(2 * n),
+		bunch:   graph.NewTable(0, 0),
 	}
+	sp := graph.NewEdgeSet(2 * n)
 	if n == 0 {
 		return o, total, nil, nil
 	}
@@ -258,19 +258,21 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		add(res.Metrics)
 		o.distTo[i] = res.Dist
 		o.witness[i] = res.Nearest
-		edgesBefore := o.spanner.Len()
+		edgesBefore := sp.Len()
 		for v := int32(0); int(v) < n; v++ {
 			if res.Dist[v] >= 1 {
-				o.spanner.Add(v, res.Parent[v])
+				sp.Add(v, res.Parent[v])
 			}
 		}
 		wspan.End(obs.I(obs.AttrRounds, int64(res.Metrics.Rounds)),
 			obs.I(obs.AttrMessages, res.Metrics.Messages),
 			obs.I(obs.AttrWords, res.Metrics.Words),
-			obs.I(obs.AttrEdges, int64(o.spanner.Len()-edgesBefore)))
+			obs.I(obs.AttrEdges, int64(sp.Len()-edgesBefore)))
 	}
 
-	// Cluster floods per level.
+	// Cluster floods per level; every level's retained tokens are bunch
+	// entries, collected as (v, w, δ) triples and grouped once at the end.
+	var rows, keys, vals []int32
 	for i := 0; i < k; i++ {
 		nodes := make([]tzNode, n)
 		handlers := make([]distsim.Handler, n)
@@ -316,17 +318,12 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		fspan.End(obs.I(obs.AttrRounds, int64(m.Rounds)),
 			obs.I(obs.AttrMessages, m.Messages), obs.I(obs.AttrWords, m.Words))
 		for v := 0; v < n; v++ {
-			if nodes[v].tokens == nil {
-				continue
-			}
-			if o.bunch[v] == nil {
-				o.bunch[v] = make(map[int32]int32, len(nodes[v].tokens))
-			}
 			for w, d := range nodes[v].tokens {
-				o.bunch[v][w] = d
+				rows, keys, vals = append(rows, int32(v)), append(keys, w), append(vals, d)
 			}
 		}
 	}
+	o.bunch = graph.GroupTable(n, rows, keys, vals)
 
 	// Bunch path edges for the oracle's spanner: retrace each bunch entry
 	// via a neighbor one step closer holding the same token. (Sequentially
@@ -334,23 +331,26 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 	// collected token tables, which the message-passing commit wave of
 	// Sect. 4.4 would do with one round per hop.)
 	for v := int32(0); int(v) < n; v++ {
-		for w, d := range o.bunch[v] {
+		ws, ds := o.bunch.Row(v)
+		for j, w := range ws {
+			d := ds[j]
 			if d == 0 {
 				continue
 			}
 			for _, y := range g.Neighbors(v) {
-				if dy, ok := o.bunch[y][w]; ok && dy == d-1 {
-					o.spanner.Add(v, y)
+				if dy, ok := o.bunch.Get(y, w); ok && dy == d-1 {
+					sp.Add(v, y)
 					break
 				}
 				if y == w && d == 1 {
-					o.spanner.Add(v, w)
+					sp.Add(v, w)
 					break
 				}
 			}
 		}
 	}
-	span.End(obs.I(obs.AttrEdges, int64(o.spanner.Len())),
+	o.spanner = sortedKeys(sp)
+	span.End(obs.I(obs.AttrEdges, int64(sp.Len())),
 		obs.I(obs.AttrRounds, int64(total.Rounds)),
 		obs.I(obs.AttrMessages, total.Messages),
 		obs.I(obs.AttrWords, total.Words))

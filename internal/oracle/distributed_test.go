@@ -23,16 +23,17 @@ func TestDistributedOracleMatchesSequential(t *testing.T) {
 			t.Fatal("no communication recorded")
 		}
 		// Same hierarchy, witnesses and bunches ⇒ identical query answers.
-		for v := 0; v < g.N(); v++ {
+		for v := int32(0); int(v) < g.N(); v++ {
 			if seq.level[v] != dist.level[v] {
 				t.Fatalf("seed %d: levels differ at %d", seed, v)
 			}
-			if len(seq.bunch[v]) != len(dist.bunch[v]) {
+			if seq.bunch.Len(v) != dist.bunch.Len(v) {
 				t.Fatalf("seed %d: bunch sizes differ at %d: %d vs %d",
-					seed, v, len(seq.bunch[v]), len(dist.bunch[v]))
+					seed, v, seq.bunch.Len(v), dist.bunch.Len(v))
 			}
-			for w, d := range seq.bunch[v] {
-				if dd, ok := dist.bunch[v][w]; !ok || dd != d {
+			ws, ds := seq.bunch.Row(v)
+			for j, w := range ws {
+				if dd, ok := dist.bunch.Get(v, w); !ok || dd != ds[j] {
 					t.Fatalf("seed %d: bunch entry (%d,%d) differs", seed, v, w)
 				}
 			}

@@ -22,21 +22,22 @@ type Label struct {
 	Bunch map[int32]int32
 }
 
-// Label extracts the distance label of v. The bunch map is copied so the
+// Label extracts the distance label of v. The bunch row is copied so the
 // label is self-contained (mutating it cannot corrupt the oracle).
 func (o *Oracle) Label(v int32) *Label {
+	keys, vals := o.bunch.Row(v)
 	l := &Label{
 		V:           v,
 		Witnesses:   make([]int32, o.k),
 		WitnessDist: make([]int32, o.k),
-		Bunch:       make(map[int32]int32, len(o.bunch[v])),
+		Bunch:       make(map[int32]int32, len(keys)),
 	}
 	for i := 0; i < o.k; i++ {
 		l.Witnesses[i] = o.witness[i][v]
 		l.WitnessDist[i] = o.distTo[i][v]
 	}
-	for w, d := range o.bunch[v] {
-		l.Bunch[w] = d
+	for j, w := range keys {
+		l.Bunch[w] = vals[j]
 	}
 	return l
 }

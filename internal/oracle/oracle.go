@@ -10,18 +10,25 @@
 // The implementation also exposes the overlap with spanners directly:
 // Spanner() returns the union of the oracle's shortest-path trees and
 // bunches, a (2k−1)-spanner of the same size class.
+//
+// Layout. The bunches are one graph.Table: per-vertex CSR rows of (w, δ)
+// sorted by w, with a presence bit per row, so Query is a binary search per
+// level and allocates nothing. New fills the table without maps: one pruned
+// BFS per cluster source, in ascending source order, then a counting sort
+// of the emitted (x, w, δ) triples by x.
 package oracle
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"spanner/internal/graph"
 )
 
-// Oracle answers approximate distance queries in O(k) time with stretch
-// at most 2k−1.
+// Oracle answers approximate distance queries in O(k log |B|) time with
+// stretch at most 2k−1, where |B| bounds a bunch's size.
 type Oracle struct {
 	g *graph.Graph
 	k int
@@ -34,10 +41,14 @@ type Oracle struct {
 	// component.
 	witness [][]int32
 	distTo  [][]int32
-	// bunch[v] maps w -> δ(v,w) for w ∈ B(v).
-	bunch []map[int32]int32
+	// bunch row v holds w -> δ(v,w) for w ∈ B(v), keys ascending; a row
+	// is absent only where PruneBunches dropped it (or a decoded stream
+	// said so), which keeps "pruned" distinct from "empty".
+	bunch *graph.Table
 
-	spanner *graph.EdgeSet
+	// spanner holds the oracle spanner's edge keys in ascending order, the
+	// form the codec streams.
+	spanner []int64
 }
 
 // New builds an oracle with parameter k ≥ 1. Expected preprocessing is
@@ -53,8 +64,7 @@ func New(g *graph.Graph, k int, seed int64) (*Oracle, error) {
 		level:   make([]int8, n),
 		witness: make([][]int32, k),
 		distTo:  make([][]int32, k),
-		bunch:   make([]map[int32]int32, n),
-		spanner: graph.NewEdgeSet(2 * n),
+		bunch:   graph.NewTable(0, 0),
 	}
 	if n == 0 {
 		return o, nil
@@ -95,6 +105,7 @@ func New(g *graph.Graph, k int, seed int64) (*Oracle, error) {
 
 	// Per level: δ(·, A_i), witnesses, and shortest-path trees into the
 	// spanner.
+	sp := graph.NewEdgeSet(2 * n)
 	levelSets := make([][]int32, k)
 	for v := int32(0); int(v) < n; v++ {
 		for i := 0; i <= int(o.level[v]); i++ {
@@ -107,81 +118,59 @@ func New(g *graph.Graph, k int, seed int64) (*Oracle, error) {
 		o.witness[i] = near
 		for v := int32(0); int(v) < n; v++ {
 			if dist[v] >= 1 {
-				o.spanner.Add(v, parentArr[v])
+				sp.Add(v, parentArr[v])
 			}
 		}
 	}
 
-	// Bunches: for w ∈ A_i \ A_{i+1}, flood w's cluster
-	// C(w) = {v : δ(v,w) < δ(v,A_{i+1})} with the pruned BFS, recording
-	// distances (and path edges into the spanner).
-	for i := 0; i < k; i++ {
-		var sources []int32
-		for _, v := range levelSets[i] {
-			if int(o.level[v]) == i {
-				sources = append(sources, v)
-			}
-		}
-		var nextDist []int32
-		if i+1 < k {
-			nextDist = o.distTo[i+1]
-		}
-		o.floodClusters(sources, nextDist)
-	}
+	o.bunch = o.floodClusters(sp)
+	o.spanner = sortedKeys(sp)
 	return o, nil
 }
 
-// floodClusters grows the cluster of every source simultaneously with the
-// Thorup–Zwick pruning rule and records bunch entries plus path edges.
-func (o *Oracle) floodClusters(sources []int32, nextDist []int32) {
-	type entry struct{ x, w int32 }
-	type info struct {
-		d   int32
-		via int32
-	}
-	tokens := make(map[int64]info) // key: x<<32|w
-	key := func(x, w int32) int64 { return int64(x)<<32 | int64(w) }
-	var frontier []entry
-	blocked := func(x int32, d int32) bool {
-		if nextDist == nil {
-			return false
-		}
-		nd := nextDist[x]
-		return nd != graph.Unreachable && nd <= d
-	}
-	for _, w := range sources {
-		if blocked(w, 0) {
-			continue
-		}
-		tokens[key(w, w)] = info{d: 0, via: -1}
-		frontier = append(frontier, entry{x: w, w: w})
-	}
-	for d := int32(1); len(frontier) > 0; d++ {
-		var next []entry
-		for _, e := range frontier {
-			for _, y := range o.g.Neighbors(e.x) {
-				if blocked(y, d) {
-					continue
-				}
-				if _, ok := tokens[key(y, e.w)]; ok {
-					continue
-				}
-				tokens[key(y, e.w)] = info{d: d, via: e.x}
-				next = append(next, entry{x: y, w: e.w})
+// floodClusters grows every cluster C(w) = {v : δ(v,w) < δ(v,A_{i+1})},
+// w ∈ A_i \ A_{i+1}, with the Thorup–Zwick pruned BFS and returns the
+// bunches, recording each entry's path edge into sp. Clusters do
+// not interact, so it runs one BFS per source with a reusable stamp array:
+// a source's FIFO order is exactly its subsequence of a simultaneous
+// level-by-level flood of all sources, so every path edge is the same.
+// Sources go in ascending order, so the (x, w, δ) triples already arrive
+// sorted by w for every x and one counting sort groups them into the table.
+func (o *Oracle) floodClusters(sp *graph.EdgeSet) *graph.Table {
+	n := o.g.N()
+	stamp := make([]int32, n) // stamp[x] = w+1 once x joined C(w)
+	var queue, rows, keys, vals []int32
+	for w := int32(0); int(w) < n; w++ {
+		// x is pruned from C(w) at distance d when δ(x, A_{i+1}) ≤ d.
+		var nextDist []int32
+		if i := int(o.level[w]) + 1; i < o.k {
+			nextDist = o.distTo[i]
+			if nextDist[w] != graph.Unreachable && nextDist[w] <= 0 {
+				continue
 			}
 		}
-		frontier = next
-	}
-	for kk, inf := range tokens {
-		x, w := int32(kk>>32), int32(kk&0xffffffff)
-		if o.bunch[x] == nil {
-			o.bunch[x] = make(map[int32]int32, 4)
+		stamp[w] = w + 1
+		queue = append(queue[:0], w)
+		rows, keys, vals = append(rows, w), append(keys, w), append(vals, 0)
+		for lo, d := 0, int32(1); lo < len(queue); d++ {
+			for hi := len(queue); lo < hi; lo++ {
+				x := queue[lo]
+				for _, y := range o.g.Neighbors(x) {
+					if stamp[y] == w+1 {
+						continue
+					}
+					if nextDist != nil && nextDist[y] != graph.Unreachable && nextDist[y] <= d {
+						continue
+					}
+					stamp[y] = w + 1
+					queue = append(queue, y)
+					rows, keys, vals = append(rows, y), append(keys, w), append(vals, d)
+					sp.Add(y, x)
+				}
+			}
 		}
-		o.bunch[x][w] = inf.d
-		if inf.via >= 0 {
-			o.spanner.Add(x, inf.via)
-		}
 	}
+	return graph.GroupTable(n, rows, keys, vals)
 }
 
 // Query returns an estimate of δ(u,v) with stretch at most 2k−1, or
@@ -195,7 +184,7 @@ func (o *Oracle) Query(u, v int32) int32 {
 	w := u
 	i := 0
 	for {
-		if dv, ok := o.bunch[v][w]; ok {
+		if dv, ok := o.bunch.Get(v, w); ok {
 			return o.distTo[i][u] + dv
 		}
 		i++
@@ -215,48 +204,43 @@ func (o *Oracle) K() int { return o.k }
 
 // Size returns the number of stored bunch entries (the space term
 // O(k·n^{1+1/k}) up to the per-entry constant).
-func (o *Oracle) Size() int {
-	total := 0
-	for _, b := range o.bunch {
-		total += len(b)
-	}
-	return total
-}
+func (o *Oracle) Size() int { return o.bunch.Entries() }
 
 // Spanner returns the union of the oracle's shortest-path forests and
 // bunch paths: a (2k−1)-spanner of expected size O(k·n^{1+1/k}).
-func (o *Oracle) Spanner() *graph.EdgeSet { return o.spanner }
+// Each call returns a fresh set the caller may modify.
+func (o *Oracle) Spanner() *graph.EdgeSet {
+	s := graph.NewEdgeSet(len(o.spanner))
+	for _, k := range o.spanner {
+		s.AddKey(k)
+	}
+	return s
+}
+
+// sortedKeys returns s's edge keys in ascending order.
+func sortedKeys(s *graph.EdgeSet) []int64 {
+	keys := s.Keys()
+	slices.Sort(keys)
+	return keys
+}
 
 // PruneBunches returns a copy of the oracle whose bunches are kept only for
-// vertices where keep[v] is true; every other bunch becomes nil. The witness
-// and distance tables are shared (they are never mutated after New), so the
-// copy costs O(n) plus the retained bunch maps. Query(u,v) on the pruned
+// vertices where keep[v] is true; every other bunch becomes absent. The
+// witness, distance and bunch tables are shared (they are never mutated
+// after New), so the copy costs only the bunch table's presence bits. Query(u,v) on the pruned
 // copy is bit-identical to the original whenever both endpoints' bunches
 // were kept — the Thorup–Zwick walk reads only bunch[u], bunch[v] and the
 // global witness/distance rows of u and v. Queries touching a pruned
-// endpoint are not meaningful (the nil-map lookups are safe but can report
+// endpoint are not meaningful (absent-row lookups are safe but can report
 // Unreachable for connected pairs); callers must route such pairs elsewhere.
 func (o *Oracle) PruneBunches(keep []bool) *Oracle {
-	n := o.g.N()
-	p := &Oracle{
-		g:       o.g,
-		k:       o.k,
-		level:   o.level,
-		witness: o.witness,
-		distTo:  o.distTo,
-		bunch:   make([]map[int32]int32, n),
-		spanner: o.spanner,
-	}
-	for v := 0; v < n; v++ {
-		if v < len(keep) && keep[v] {
-			p.bunch[v] = o.bunch[v]
-		}
-	}
-	return p
+	p := *o
+	p.bunch = o.bunch.Prune(keep)
+	return &p
 }
 
 // Covered reports whether vertex v's bunch is present (i.e. survived any
 // PruneBunches call); only pairs of covered vertices get exact answers.
 func (o *Oracle) Covered(v int32) bool {
-	return v >= 0 && int(v) < len(o.bunch) && o.bunch[v] != nil
+	return v >= 0 && int(v) < o.bunch.N() && o.bunch.Has(v)
 }

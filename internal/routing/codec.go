@@ -1,86 +1,85 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"spanner/internal/graph"
+	"spanner/internal/wordio"
 )
 
 // Flat word-stream codec for a built routing scheme, following the same
 // conventions as the oracle codec and the distsim checkpoints: length
-// prefixes, sorted map emission, bounds-checked decoding. Only the
+// prefixes, deterministic order, bounds-checked decoding. Only the
 // irreducible state is serialized — the landmark set, the per-tree BFS
 // parent arrays, the vicinity-ball tables and the addresses; DFS intervals
 // and children lists are recomputed deterministically on decode (the same
 // dfsIntervals call New makes), so a decoded scheme's NextHop and Route
-// decisions are identical to the encoded one's.
+// decisions are identical to the encoded one's. Each vertex's ball table is
+// -1 (absent) or its entry count followed by (w, hop) pairs in strictly
+// ascending w: the direct table's CSR row exactly as stored.
 
-// Words serializes the scheme (everything except the graph) to a flat word
-// stream. Encoding the same scheme twice yields identical streams.
-func (s *Scheme) Words() []int64 {
+var errTruncated = errors.New("routing: truncated stream")
+
+// WordCount returns the length of the Words stream without encoding it.
+func (s *Scheme) WordCount() int {
+	n, t := s.g.N(), len(s.landmarks)
+	return 2 + t + t*n + n + 2*s.direct.Entries() + 2*n
+}
+
+// AppendWords appends the scheme's word stream (everything except the
+// graph), little-endian, to b. Encoding the same scheme twice yields
+// identical bytes.
+func (s *Scheme) AppendWords(b []byte) []byte {
 	n := s.g.N()
-	t := len(s.landmarks)
-	w := make([]int64, 0, 2+t*(1+n)+3*n)
-	w = append(w, int64(n), int64(t))
+	b = wordio.Append(b, int64(n))
+	b = wordio.Append(b, int64(len(s.landmarks)))
 	for _, l := range s.landmarks {
-		w = append(w, int64(l))
+		b = wordio.Append(b, int64(l))
 	}
-	for i := 0; i < t; i++ {
-		for v := 0; v < n; v++ {
-			w = append(w, int64(s.toLandmark[i][v]))
+	for _, parent := range s.toLandmark {
+		for _, p := range parent {
+			b = wordio.Append(b, int64(p))
 		}
 	}
-	for v := 0; v < n; v++ {
-		d := s.direct[v]
-		if d == nil {
-			w = append(w, -1)
+	for v := int32(0); int(v) < n; v++ {
+		if !s.direct.Has(v) {
+			b = wordio.Append(b, -1)
 			continue
 		}
-		keys := make([]int32, 0, len(d))
-		for u := range d {
-			keys = append(keys, u)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w = append(w, int64(len(keys)))
-		for _, u := range keys {
-			w = append(w, int64(u), int64(d[u]))
+		keys, hops := s.direct.Row(v)
+		b = wordio.Append(b, int64(len(keys)))
+		for j, w := range keys {
+			b = wordio.Append(b, int64(w))
+			b = wordio.Append(b, int64(hops[j]))
 		}
 	}
-	for v := 0; v < n; v++ {
-		a := s.addr[v]
-		w = append(w, int64(a.Landmark), int64(a.DFS))
+	for _, a := range s.addr {
+		b = wordio.Append(b, int64(a.Landmark))
+		b = wordio.Append(b, int64(a.DFS))
 	}
-	return w
+	return b
 }
 
-// wordReader consumes a codec word stream with bounds checking.
-type wordReader struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *wordReader) get() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("routing: truncated stream (offset %d)", r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
+// Words returns the scheme's word stream as a slice.
+func (s *Scheme) Words() []int64 {
+	return wordio.ToWords(s.AppendWords(make([]byte, 0, 8*s.WordCount())))
 }
 
 // FromWords reconstructs a scheme over g from a Words stream.
 func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
-	r := &wordReader{buf: words}
-	n := int(r.get())
-	t := int(r.get())
-	if r.err != nil {
-		return nil, r.err
+	return Decode(g, wordio.FromWords(words))
+}
+
+// Decode reconstructs a scheme over g from the little-endian bytes of a
+// Words stream, reading them in place. Ball-table keys that are not
+// strictly ascending are refused with graph.ErrUnsortedRow.
+func Decode(g *graph.Graph, data []byte) (*Scheme, error) {
+	r := &wordio.Reader{Buf: data, Trunc: errTruncated}
+	n := int(r.Get())
+	t := int(r.Get())
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if n != g.N() {
 		return nil, fmt.Errorf("routing: stream is for %d vertices, graph has %d", n, g.N())
@@ -88,101 +87,88 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 	if t < 0 || t > n {
 		return nil, fmt.Errorf("routing: implausible landmark count %d", t)
 	}
-	s := &Scheme{
-		g:            g,
-		landmarkIdx:  make(map[int32]int, t),
-		toLandmark:   make([][]int32, t),
-		treeDFS:      make([][]int32, t),
-		treeEnd:      make([][]int32, t),
-		treeChildren: make([][][]int32, t),
-		direct:       make([]map[int32]int32, n),
-		addr:         make([]Address, n),
+	if r.Len()-r.Pos < t*(1+n)+3*n {
+		return nil, fmt.Errorf("%w: %d words for %d landmark trees", errTruncated, r.Len()-r.Pos, t)
 	}
-	s.landmarks = make([]int32, t)
+	s := &Scheme{
+		g:          g,
+		landmarks:  make([]int32, t),
+		toLandmark: rows(make([]int32, t*n), t, n),
+		addr:       make([]Address, n),
+	}
 	for i := 0; i < t; i++ {
-		l := r.get()
-		if r.err == nil && (l < 0 || int(l) >= n) {
+		l := r.Get()
+		if l < 0 || int(l) >= n {
 			return nil, fmt.Errorf("routing: landmark %d out of range [0,%d)", l, n)
 		}
 		s.landmarks[i] = int32(l)
-		if _, dup := s.landmarkIdx[int32(l)]; dup && r.err == nil {
-			return nil, fmt.Errorf("routing: duplicate landmark %d", l)
-		}
-		s.landmarkIdx[int32(l)] = i
 	}
-	for i := 0; i < t; i++ {
-		parent := make([]int32, n)
-		for v := 0; v < n; v++ {
-			p := r.get()
-			if r.err == nil && (p < int64(graph.Unreachable) || int(p) >= n) {
+	if dup := s.indexLandmarks(); dup >= 0 {
+		return nil, fmt.Errorf("routing: duplicate landmark %d", dup)
+	}
+	for i, parent := range s.toLandmark {
+		for v := range parent {
+			p := r.Get()
+			if p < int64(graph.Unreachable) || int(p) >= n {
 				return nil, fmt.Errorf("routing: tree %d parent of %d out of range: %d", i, v, p)
 			}
 			parent[v] = int32(p)
 		}
-		s.toLandmark[i] = parent
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Rebuild the DFS intervals exactly as New does; the parents fully
-	// determine them.
-	for i, l := range s.landmarks {
-		dfs, end, children := dfsIntervals(n, l, s.toLandmark[i])
-		s.treeDFS[i] = dfs
-		s.treeEnd[i] = end
-		s.treeChildren[i] = children
-	}
+	s.buildTrees()
+	s.direct = graph.NewTable(n, (r.Len()-r.Pos-3*n)/2)
 	for v := 0; v < n; v++ {
-		c := r.get()
-		if r.err != nil {
-			return nil, r.err
+		c := r.Get()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if c < 0 {
 			if c != -1 {
 				return nil, fmt.Errorf("routing: corrupt table length %d", c)
 			}
+			s.direct.EndRow(false)
 			continue
 		}
-		if c*2 > int64(len(words)-r.pos) {
+		if c > int64(r.Len()-r.Pos)/2 {
 			return nil, fmt.Errorf("routing: truncated table of vertex %d", v)
 		}
-		d := make(map[int32]int32, c)
 		for j := int64(0); j < c; j++ {
-			u := int32(r.get())
-			hop := r.get()
-			if r.err == nil && (hop < 0 || int(hop) >= n) {
+			w := int32(r.Get())
+			hop := r.Get()
+			if hop < 0 || int(hop) >= n {
 				return nil, fmt.Errorf("routing: next hop %d out of range", hop)
 			}
-			d[u] = int32(hop)
+			if err := s.direct.Append(w, int32(hop)); err != nil {
+				return nil, fmt.Errorf("routing: table of vertex %d at key %d: %w", v, w, err)
+			}
 		}
-		s.direct[v] = d
+		s.direct.EndRow(true)
 	}
 	for v := 0; v < n; v++ {
-		l := r.get()
-		dfs := r.get()
-		if r.err != nil {
-			return nil, r.err
+		l := r.Get()
+		dfs := r.Get()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if l != int64(graph.Unreachable) {
-			if _, ok := s.landmarkIdx[int32(l)]; !ok {
+			if _, ok := s.LandmarkIndexOf(int32(l)); !ok || int64(int32(l)) != l {
 				return nil, fmt.Errorf("routing: address of %d names non-landmark %d", v, l)
 			}
 		}
 		s.addr[v] = Address{V: int32(v), Landmark: int32(l), DFS: int32(dfs)}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(words) {
-		return nil, fmt.Errorf("routing: %d trailing words", len(words)-r.pos)
+	if r.Pos != r.Len() || len(data)%8 != 0 {
+		return nil, fmt.Errorf("routing: %d trailing words", r.Len()-r.Pos)
 	}
 	return s, nil
 }
 
 // LandmarkIndexOf returns the tree index of landmark l.
 func (s *Scheme) LandmarkIndexOf(l int32) (int, bool) {
-	i, ok := s.landmarkIdx[l]
-	return i, ok
+	if l < 0 || int(l) >= len(s.landmarkIdx) || s.landmarkIdx[l] < 0 {
+		return 0, false
+	}
+	return int(s.landmarkIdx[l]), true
 }
 
 // LandmarkDistances returns, for each landmark tree t, the exact distance
@@ -193,19 +179,15 @@ func (s *Scheme) LandmarkIndexOf(l int32) (int, bool) {
 // reads it lock-free afterwards.
 func (s *Scheme) LandmarkDistances() [][]int32 {
 	n := s.g.N()
-	out := make([][]int32, len(s.landmarks))
+	out := rows(make([]int32, len(s.landmarks)*n), len(s.landmarks), n)
+	chain := make([]int32, 0, 64)
 	for t, l := range s.landmarks {
-		depth := make([]int32, n)
+		depth := out[t]
 		for v := range depth {
 			depth[v] = graph.Unreachable
 		}
-		if n == 0 {
-			out[t] = depth
-			continue
-		}
 		depth[l] = 0
 		parent := s.toLandmark[t]
-		chain := make([]int32, 0, 64)
 		for v := int32(0); int(v) < n; v++ {
 			if depth[v] != graph.Unreachable || parent[v] == graph.Unreachable {
 				continue
@@ -226,7 +208,6 @@ func (s *Scheme) LandmarkDistances() [][]int32 {
 				depth[chain[i]] = base
 			}
 		}
-		out[t] = depth
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -105,6 +106,35 @@ func TestLandmarkDistancesExact(t *testing.T) {
 				t.Fatalf("landmark %d: depth of %d = %d, want BFS distance %d",
 					l, v, dists[t2][v], want[v])
 			}
+		}
+	}
+}
+
+// TestCodecRejectsUnsortedTable: ball-table keys must be strictly
+// ascending; an unsorted or duplicate key is refused with
+// graph.ErrUnsortedRow instead of being merged.
+func TestCodecRejectsUnsortedTable(t *testing.T) {
+	g := graph.ConnectedGnp(200, 0.04, rand.New(rand.NewSource(5)))
+	s, err := New(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := s.Words()
+	row := 2 + int(words[1])*(1+g.N()) // vertex 0's table
+	for v := 0; v < g.N() && words[row] < 2; v++ {
+		row += 1 + 2*max(int(words[row]), 0)
+	}
+	if words[row] < 2 {
+		t.Fatal("no ball table with two entries; test vacuous")
+	}
+	for name, mutate := range map[string]func(w []int64){
+		"unsorted":  func(w []int64) { w[row+1], w[row+3] = w[row+3], w[row+1] },
+		"duplicate": func(w []int64) { w[row+3] = w[row+1] },
+	} {
+		bad := append([]int64(nil), words...)
+		mutate(bad)
+		if _, err := FromWords(g, bad); !errors.Is(err, graph.ErrUnsortedRow) {
+			t.Errorf("%s table: got %v, want graph.ErrUnsortedRow", name, err)
 		}
 	}
 }

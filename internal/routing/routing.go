@@ -25,6 +25,13 @@
 // 3·δ(v,w). The ball's "closer-than" definition makes direct entries
 // monotone along shortest paths, so handoffs between the two modes never
 // lose progress.
+//
+// Layout. Every table is flat: the ball tables form one graph.Table (CSR
+// rows of (w, next hop) sorted by w, looked up by binary search), and each
+// landmark tree's parents, DFS intervals and children (a per-tree CSR) are
+// rows of a few t·n arrays. Forwarding allocates nothing, and a scheme
+// costs a fixed number of allocations however many vertices and trees it
+// has.
 package routing
 
 import (
@@ -43,12 +50,14 @@ type Address struct {
 	DFS      int32 // V's DFS index in ℓ_V's tree
 }
 
-// Scheme holds all per-vertex routing tables.
+// Scheme holds all per-vertex routing tables. Every table is a flat
+// array or CSR run, so lookups allocate nothing and a scheme costs no
+// per-vertex headers.
 type Scheme struct {
 	g         *graph.Graph
 	landmarks []int32
-	// landmarkIdx maps a landmark vertex to its tree index.
-	landmarkIdx map[int32]int
+	// landmarkIdx[v] is v's tree index when v is a landmark, else -1.
+	landmarkIdx []int32
 
 	// toLandmark[t][v] = next hop from v toward landmark t (tree parent).
 	toLandmark [][]int32
@@ -56,11 +65,14 @@ type Scheme struct {
 	// index in v's subtree (interval routing).
 	treeDFS [][]int32
 	treeEnd [][]int32
-	// treeChildren[t][v] = children of v in tree t.
-	treeChildren [][][]int32
+	// The children of v in tree t, ascending, are
+	// treeChildren[t][treeChildOff[t][v]:treeChildOff[t][v+1]].
+	treeChildOff [][]int32
+	treeChildren [][]int32
 
-	// direct[v] = next hop from v toward each w with v ∈ ball(w).
-	direct []map[int32]int32
+	// direct row v = next hop from v toward each w with v ∈ ball(w), keys
+	// ascending; a row is present iff v lies in some ball.
+	direct *graph.Table
 
 	// addr[v] is v's address.
 	addr []Address
@@ -71,10 +83,9 @@ type Scheme struct {
 func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	n := g.N()
 	s := &Scheme{
-		g:           g,
-		landmarkIdx: make(map[int32]int),
-		direct:      make([]map[int32]int32, n),
-		addr:        make([]Address, n),
+		g:      g,
+		direct: graph.NewTable(0, 0),
+		addr:   make([]Address, n),
 	}
 	if n == 0 {
 		return s, nil
@@ -99,27 +110,18 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 			s.landmarks = append(s.landmarks, v)
 		}
 	}
-	for i, l := range s.landmarks {
-		s.landmarkIdx[l] = i
-	}
+	s.indexLandmarks()
 
 	// δ(·,L) and each vertex's own landmark.
 	distL, nearestL, _ := g.MultiSourceBFS(s.landmarks)
 
 	// Landmark trees with DFS intervals.
-	t := len(s.landmarks)
-	s.toLandmark = make([][]int32, t)
-	s.treeDFS = make([][]int32, t)
-	s.treeEnd = make([][]int32, t)
-	s.treeChildren = make([][][]int32, t)
+	s.toLandmark = rows(make([]int32, len(s.landmarks)*n), len(s.landmarks), n)
+	queue := make([]int32, 0, n)
 	for i, l := range s.landmarks {
-		_, parent := g.BFSWithParents(l)
-		s.toLandmark[i] = parent
-		dfs, end, children := dfsIntervals(n, l, parent)
-		s.treeDFS[i] = dfs
-		s.treeEnd[i] = end
-		s.treeChildren[i] = children
+		queue = g.BFSTree(l, s.toLandmark[i], queue)
 	}
+	s.buildTrees()
 
 	for v := int32(0); int(v) < n; v++ {
 		lv := nearestL[v]
@@ -132,8 +134,11 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 
 	// Vicinity balls: truncated BFS from each non-landmark w to radius
 	// δ(w,L)−1, recording next hops (BFS parents point back toward w).
+	// Balls go in ascending w, so the (x, w, hop) triples arrive sorted by
+	// w for every x and one counting sort groups them into the table.
 	scratchDist := g.NewDistScratch()
 	scratchHop := make([]int32, n)
+	var xs, ws, hops []int32
 	for w := int32(0); int(w) < n; w++ {
 		radius := distL[w] - 1
 		if radius < 0 {
@@ -158,54 +163,113 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 					break
 				}
 			}
-			if s.direct[x] == nil {
-				s.direct[x] = make(map[int32]int32, 4)
-			}
-			s.direct[x][w] = scratchHop[x]
+			xs, ws, hops = append(xs, x), append(ws, w), append(hops, scratchHop[x])
 		}
 		graph.ResetDistScratch(scratchDist, reached)
 	}
+	s.direct = graph.GroupTable(n, xs, ws, hops)
 	return s, nil
 }
 
-// dfsIntervals computes, for the tree given by parent pointers rooted at
-// root, a DFS numbering and per-vertex subtree intervals [dfs, end].
-func dfsIntervals(n int, root int32, parent []int32) (dfs, end []int32, children [][]int32) {
-	dfs = make([]int32, n)
-	end = make([]int32, n)
-	children = make([][]int32, n)
+// indexLandmarks fills landmarkIdx from landmarks; it reports the first
+// landmark listed twice, or -1.
+func (s *Scheme) indexLandmarks() int32 {
+	s.landmarkIdx = make([]int32, s.g.N())
+	for v := range s.landmarkIdx {
+		s.landmarkIdx[v] = -1
+	}
+	for i, l := range s.landmarks {
+		if s.landmarkIdx[l] >= 0 {
+			return l
+		}
+		s.landmarkIdx[l] = int32(i)
+	}
+	return -1
+}
+
+// rows splits flat into t consecutive rows of length stride, so per-tree
+// tables cost one allocation each however many trees there are.
+func rows(flat []int32, t, stride int) [][]int32 {
+	out := make([][]int32, t)
+	for i := range out {
+		out[i] = flat[i*stride : (i+1)*stride : (i+1)*stride]
+	}
+	return out
+}
+
+// buildTrees derives every landmark tree's DFS intervals and children from
+// its parent pointers, which fully determine them.
+func (s *Scheme) buildTrees() {
+	n, t := s.g.N(), len(s.landmarks)
+	s.treeDFS = rows(make([]int32, t*n), t, n)
+	s.treeEnd = rows(make([]int32, t*n), t, n)
+	s.treeChildOff = rows(make([]int32, t*(n+1)), t, n+1)
+	s.treeChildren = rows(make([]int32, t*n), t, n)
+	stack := make([]frame, 0, n)
+	for i, l := range s.landmarks {
+		s.treeChildren[i] = dfsIntervals(l, s.toLandmark[i], s.treeDFS[i], s.treeEnd[i],
+			s.treeChildOff[i], s.treeChildren[i], stack)
+	}
+}
+
+// frame is one level of dfsIntervals' explicit DFS stack.
+type frame struct {
+	v    int32
+	next int32
+}
+
+// dfsIntervals fills, for the tree given by parent pointers rooted at root,
+// a DFS numbering and per-vertex subtree intervals [dfs, end], plus the
+// children in CSR form: the children of v, ascending, are
+// children[off[v]:off[v+1]]. dfs, end and children have length n, off n+1;
+// stack is scratch of capacity n. It returns children cut to its length.
+func dfsIntervals(root int32, parent, dfs, end, off, children []int32, stack []frame) []int32 {
+	n := len(parent)
 	for v := range dfs {
 		dfs[v] = graph.Unreachable
 		end[v] = graph.Unreachable
+		if p := parent[v]; p != graph.Unreachable && p != int32(v) {
+			off[p]++
+		}
 	}
-	for v := int32(0); int(v) < n; v++ {
-		if parent[v] != graph.Unreachable && parent[v] != v {
-			children[parent[v]] = append(children[parent[v]], v)
+	// Inclusive prefix sums make off[p] the end of p's run; filling from
+	// the highest child down moves it back to the start.
+	for v := 1; v < n; v++ {
+		off[v] += off[v-1]
+	}
+	if n > 0 {
+		off[n] = off[n-1]
+	}
+	children = children[:off[n]]
+	for v := int32(n) - 1; v >= 0; v-- {
+		if p := parent[v]; p != graph.Unreachable && p != v {
+			off[p]--
+			children[off[p]] = v
 		}
 	}
 	counter := int32(0)
-	// Iterative DFS.
-	type frame struct {
-		v    int32
-		next int
-	}
-	stack := []frame{{v: root}}
+	// Iterative DFS; the visited check keeps corrupt (cyclic) parent data
+	// from looping, and bounds the stack by n.
+	stack = append(stack[:0], frame{v: root, next: off[root]})
 	dfs[root] = counter
 	counter++
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.next < len(children[f.v]) {
-			c := children[f.v][f.next]
+		if f.next < off[f.v+1] {
+			c := children[f.next]
 			f.next++
+			if dfs[c] != graph.Unreachable {
+				continue
+			}
 			dfs[c] = counter
 			counter++
-			stack = append(stack, frame{v: c})
+			stack = append(stack, frame{v: c, next: off[c]})
 			continue
 		}
 		end[f.v] = counter - 1
 		stack = stack[:len(stack)-1]
 	}
-	return dfs, end, children
+	return children
 }
 
 // AddressOf returns the routing address of v (what senders must know).
@@ -218,9 +282,9 @@ func (s *Scheme) Landmarks() []int32 { return s.landmarks }
 // hops, direct ball entries, and its tree-interval records.
 func (s *Scheme) TableSize(v int32) int {
 	size := len(s.landmarks) // next hop toward each landmark
-	size += len(s.direct[v])
-	for t := range s.landmarks {
-		size += 1 + len(s.treeChildren[t][v]) // own interval + children intervals
+	size += s.direct.Len(v)
+	for _, off := range s.treeChildOff {
+		size += 1 + int(off[v+1]-off[v]) // own interval + children intervals
 	}
 	return size
 }
@@ -233,16 +297,17 @@ func (s *Scheme) NextHop(x int32, dst Address) (int32, bool) {
 		return x, true
 	}
 	// Direct (vicinity ball) entry wins: it is a shortest-path hop.
-	if hop, ok := s.direct[x][dst.V]; ok {
+	if hop, ok := s.direct.Get(x, dst.V); ok {
 		return hop, true
 	}
-	if dst.Landmark == graph.Unreachable {
+	t, ok := s.LandmarkIndexOf(dst.Landmark)
+	if !ok {
 		return 0, false
 	}
-	t := s.landmarkIdx[dst.Landmark]
 	if s.treeDFS[t][x] != graph.Unreachable && inSubtree(s, t, x, dst.DFS) {
 		// Tree phase: descend to the child whose interval contains dst.
-		for _, c := range s.treeChildren[t][x] {
+		off := s.treeChildOff[t]
+		for _, c := range s.treeChildren[t][off[x]:off[x+1]] {
 			if s.treeDFS[t][c] <= dst.DFS && dst.DFS <= s.treeEnd[t][c] {
 				return c, true
 			}

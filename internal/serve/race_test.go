@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -156,4 +157,69 @@ func TestDeltaApplyEvictionRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentSwapMonotonic pins the install order of generations:
+// concurrent Swaps build their snapshots in parallel, and however long each
+// build takes, a reader polling SnapshotID must never see the generation go
+// backwards, and the last installed generation must be the highest ID any
+// Swap returned. Artifacts of very different sizes make the builds finish
+// out of order. Run via `make serve` (go test -race).
+func TestConcurrentSwapMonotonic(t *testing.T) {
+	small := testArtifact(t, 40, 21)
+	large := testArtifact(t, 1500, 22)
+	e, err := New(small, Config{Shards: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	const swappers, swaps = 4, 12
+	done := make(chan struct{})
+	var readerWG sync.WaitGroup
+	readerWG.Add(1)
+	go func() {
+		defer readerWG.Done()
+		last := e.SnapshotID()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			id := e.SnapshotID()
+			if id < last {
+				t.Errorf("generation went backwards: %d after %d", id, last)
+				return
+			}
+			last = id
+		}
+	}()
+	var wg sync.WaitGroup
+	maxID := make([]int64, swappers)
+	for s := 0; s < swappers; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < swaps; i++ {
+				a := small
+				if (s+i)%2 == 0 {
+					a = large
+				}
+				id, err := e.Swap(a)
+				if err != nil {
+					t.Errorf("swap: %v", err)
+					return
+				}
+				maxID[s] = max(maxID[s], id)
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(done)
+	readerWG.Wait()
+	want := int64(1 + swappers*swaps)
+	if got := e.SnapshotID(); got != want || slices.Max(maxID) != want {
+		t.Fatalf("final generation %d, highest returned %d, want %d", got, slices.Max(maxID), want)
+	}
 }
