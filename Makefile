@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race bench experiments fuzz fmt fmtcheck vet faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck check clean
+.PHONY: all build test test-short race bench experiments fuzz fmt fmtcheck vet faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck perfcheck loc check clean
 
 all: build vet test
 
@@ -131,19 +131,32 @@ partcheck:
 # pooling/scavenging, breaker and retry semantics), the cross-transport
 # equivalence suite (identical query streams over HTTP/JSON and binary wire
 # return byte-identical answers, including degraded/composed flags and
-# typed-error parity), and the unraced zero-alloc bar on the client's
-# steady-state point-query path.
+# typed-error parity), and the unraced allocation bars: zero allocs on the
+# client's steady-state point-query path, at most two on the server's
+# per-frame dispatch of one query.
 wirecheck:
 	$(GO) vet ./internal/wire/... ./client/...
 	$(GO) test -race ./internal/wire/...
 	$(GO) test -run 'Wire' -race ./client/... ./cmd/spannerd/... .
 	$(GO) test -run 'CrossTransport|LoadgenWire' -race -count=1 ./cmd/spannerd/
 	$(GO) test -run TestWireDistZeroAlloc -count=1 ./client/
+	$(GO) test -run TestServerDispatchAllocs -count=1 ./internal/wire/
+
+# The benchmark module: perfbench is a Go module of its own, so ./...
+# above never enters it, yet it imports client, serve and wire.
+perfcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go lines outside perfbench/ (and its build cache), the size
+# ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # The full gate: build, vet, unit tests, then the robustness, serving,
 # dynamic, observability, serving-resilience, cluster-serving,
-# partitioned-serving and binary-transport suites.
-check: build vet test faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck
+# partitioned-serving and binary-transport suites, and the benchmark
+# module's own tests.
+check: build vet test faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck perfcheck
 
 clean:
 	$(GO) clean ./...

@@ -98,6 +98,40 @@ type Query struct {
 	AllowDegraded bool `json:"allowDegraded,omitempty"`
 }
 
+// ReadQuery decodes the Query an HTTP request carries, in either form the
+// servers accept: GET ?type=dist&u=3&v=77 (plus priority, allowDegraded=1
+// and deadlineMs) or the JSON body of a POST. On failure it returns the
+// HTTP status to answer with. spannerd and spannerrouter both decode with
+// it, so the two forms are parsed in one place.
+func ReadQuery(r *http.Request) (Query, int, error) {
+	var q Query
+	switch r.Method {
+	case http.MethodGet:
+		p := r.URL.Query()
+		u, errU := strconv.ParseInt(p.Get("u"), 10, 32)
+		v, errV := strconv.ParseInt(p.Get("v"), 10, 32)
+		if errU != nil || errV != nil {
+			return q, http.StatusBadRequest, errors.New("u and v must be int32")
+		}
+		q = Query{Type: p.Get("type"), U: int32(u), V: int32(v), Priority: p.Get("priority"),
+			AllowDegraded: p.Get("allowDegraded") == "1"}
+		if d := p.Get("deadlineMs"); d != "" {
+			ms, err := strconv.ParseInt(d, 10, 64)
+			if err != nil {
+				return q, http.StatusBadRequest, errors.New("bad deadlineMs")
+			}
+			q.DeadlineMS = ms
+		}
+	case http.MethodPost:
+		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+			return q, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err)
+		}
+	default:
+		return q, http.StatusMethodNotAllowed, errors.New("use GET or POST")
+	}
+	return q, http.StatusOK, nil
+}
+
 // Reply is one query's answer in wire form.
 type Reply struct {
 	Type     string  `json:"type"`
@@ -166,41 +200,11 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c Config) withDefaults() Config {
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff < c.BaseBackoff {
-		c.MaxBackoff = 250 * time.Millisecond
-		if c.MaxBackoff < c.BaseBackoff {
-			c.MaxBackoff = c.BaseBackoff
-		}
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
 // Client is a pooled, retrying spannerd client. Safe for concurrent use.
 type Client struct {
 	cfg Config
 	hc  *http.Client
-	br  *breaker
+	rt  *retrier
 }
 
 // Stats is a point-in-time view of the client's resilience state.
@@ -211,7 +215,6 @@ type Stats struct {
 
 // New builds a client for the spannerd at cfg.BaseURL.
 func New(cfg Config) *Client {
-	cfg = cfg.withDefaults()
 	hc := cfg.HTTP
 	if hc == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -222,102 +225,25 @@ func New(cfg Config) *Client {
 	return &Client{
 		cfg: cfg,
 		hc:  hc,
-		br:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
+		rt: newRetrier(cfg.Timeout, cfg.MaxRetries, cfg.BaseBackoff, cfg.MaxBackoff, cfg.Seed,
+			cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 	}
 }
 
 // Stats reports the client's current resilience state.
-func (c *Client) Stats() Stats { return Stats{Breaker: c.br.snapshot()} }
+func (c *Client) Stats() Stats { return Stats{Breaker: c.rt.br.snapshot()} }
 
-func splitmix(x uint64) uint64 {
-	z := x + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// backoffFor returns the delay before retry #attempt (attempt ≥ 1):
-// exponential in the attempt number, capped, with deterministic jitter in
-// [½d, d) drawn from the seed and attempt — decorrelated between clients
-// with different seeds, reproducible for equal ones.
-func (c *Client) backoffFor(attempt int) time.Duration {
-	d := c.cfg.BaseBackoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
-	}
-	half := uint64(d / 2)
-	if half == 0 {
-		return d
-	}
-	return time.Duration(half + splitmix(uint64(c.cfg.Seed)^uint64(attempt)*0x9e3779b97f4a7c15)%half)
-}
-
-// attemptErr classifies one failed attempt.
-type attemptErr struct {
-	err       error // typed error to surface if this is the last attempt
-	retryable bool  // may retry (when the call is idempotent)
-	breaker   bool  // counts as a breaker failure (server-down signal)
-	// after is the server's Retry-After hint, when the rejection carried
-	// one (nil otherwise). A hinted 429 is not retryable per se — do()
-	// promotes it when the hint fits inside the client's backoff ceiling.
-	after *time.Duration
-}
-
-// do runs one endpoint call under the retry/breaker discipline and returns
+// do runs one endpoint call under the shared retry discipline and returns
 // the response body of the first success.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool) ([]byte, error) {
-	if !c.br.allow() {
-		return nil, fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
-	}
-	attempts := 1
-	if idempotent {
-		attempts += c.cfg.MaxRetries
-	}
-	var last attemptErr
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := c.backoffFor(attempt)
-			if last.after != nil && *last.after > 0 {
-				// The server said exactly when to come back; its pacing
-				// replaces the guesswork of jittered backoff.
-				d = *last.after
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-t.C:
-			}
-		}
-		data, ae := c.attempt(ctx, method, path, body)
-		if ae == nil {
-			c.br.success()
-			return data, nil
-		}
-		if ae.breaker {
-			c.br.failure()
-		}
-		last = *ae
-		// A 429 with a Retry-After within the client's backoff ceiling is
-		// worth honoring: the server asked for a pause it expects to be
-		// enough. Hints beyond the ceiling (or absent) surface immediately —
-		// the pre-existing never-retry-rejections discipline.
-		retryable := ae.retryable ||
-			(ae.after != nil && *ae.after <= c.cfg.MaxBackoff)
-		if !retryable || !idempotent {
-			break
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-		}
-	}
-	return nil, last.err
+	return retry(ctx, c.rt, idempotent, func() ([]byte, *attemptErr) {
+		return c.attempt(ctx, method, path, body)
+	})
 }
 
 // attempt is one HTTP round trip with the per-attempt timeout applied.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte) ([]byte, *attemptErr) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, c.rt.timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -350,36 +276,14 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		// Truncated or reset mid-body: the response cannot be trusted.
 		return nil, &attemptErr{err: fmt.Errorf("%w: reading response: %v", ErrUnavailable, err), retryable: true, breaker: true}
 	}
-	if ae := classifyStatus(resp.StatusCode, resp.Header, data); ae != nil {
-		return nil, ae
+	if resp.StatusCode >= 300 {
+		var after *time.Duration
+		if d, ok := retryAfter(resp.Header); ok {
+			after = &d
+		}
+		return nil, classify(resp.StatusCode, "HTTP "+strconv.Itoa(resp.StatusCode), after, serverErr(data))
 	}
 	return data, nil
-}
-
-// classifyStatus maps a non-2xx answer to its typed error and retry class.
-func classifyStatus(status int, hdr http.Header, body []byte) *attemptErr {
-	if status < 300 {
-		return nil
-	}
-	detail := serverErr(body)
-	switch {
-	case status == http.StatusTooManyRequests:
-		if after, ok := retryAfter(hdr); ok {
-			return &attemptErr{
-				err:   &RejectedError{After: after, Detail: detail},
-				after: &after,
-			}
-		}
-		return &attemptErr{err: fmt.Errorf("%w: %s", ErrRejected, detail)}
-	case status == http.StatusConflict:
-		return &attemptErr{err: fmt.Errorf("%w: %s", ErrConflict, detail)}
-	case status == http.StatusGatewayTimeout:
-		return &attemptErr{err: fmt.Errorf("%w: server: %s", ErrTimeout, detail), retryable: true}
-	case status >= 500:
-		return &attemptErr{err: fmt.Errorf("%w: HTTP %d: %s", ErrUnavailable, status, detail), retryable: true, breaker: true}
-	default: // remaining 4xx: the request is wrong, retrying cannot help
-		return &attemptErr{err: fmt.Errorf("%w: HTTP %d: %s", ErrBadRequest, status, detail)}
-	}
 }
 
 // retryAfter parses a Retry-After header as delay-seconds (the form the

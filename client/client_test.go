@@ -308,14 +308,14 @@ func TestSeededBackoffDeterministic(t *testing.T) {
 	other := New(Config{BaseURL: "http://x", Seed: 10})
 	var diverged bool
 	for i := 1; i <= 6; i++ {
-		da, db := a.backoffFor(i), b.backoffFor(i)
+		da, db := a.rt.backoffFor(i), b.rt.backoffFor(i)
 		if da != db {
 			t.Fatalf("equal seeds diverged at attempt %d: %v vs %v", i, da, db)
 		}
-		if base, max := a.cfg.BaseBackoff, a.cfg.MaxBackoff; da < base/2 || da > max {
+		if base, max := a.rt.base, a.rt.max; da < base/2 || da > max {
 			t.Fatalf("backoff %v outside [%v/2, %v]", da, base, max)
 		}
-		if other.backoffFor(i) != da {
+		if other.rt.backoffFor(i) != da {
 			diverged = true
 		}
 	}

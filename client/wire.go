@@ -20,10 +20,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"spanner/internal/serve"
 	"spanner/internal/wire"
 )
 
@@ -68,32 +70,10 @@ type WireConfig struct {
 	Now func() time.Time
 }
 
+// withDefaults fills the wire-only fields; newRetrier fills the shared ones.
 func (c WireConfig) withDefaults() WireConfig {
 	if c.Conns <= 0 {
 		c.Conns = 2
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff < c.BaseBackoff {
-		c.MaxBackoff = 250 * time.Millisecond
-		if c.MaxBackoff < c.BaseBackoff {
-			c.MaxBackoff = c.BaseBackoff
-		}
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.MaxCoalesce <= 0 {
 		c.MaxCoalesce = 32
@@ -103,9 +83,6 @@ func (c WireConfig) withDefaults() WireConfig {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -175,7 +152,7 @@ type wconn struct {
 // concurrent use.
 type WireClient struct {
 	cfg WireConfig
-	br  *breaker
+	rt  *retrier
 
 	mu     sync.Mutex
 	slots  []*wconn
@@ -196,8 +173,9 @@ func NewWire(cfg WireConfig) (*WireClient, error) {
 	}
 	cfg = cfg.withDefaults()
 	cl := &WireClient{
-		cfg:   cfg,
-		br:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
+		cfg: cfg,
+		rt: newRetrier(cfg.Timeout, cfg.MaxRetries, cfg.BaseBackoff, cfg.MaxBackoff, cfg.Seed,
+			cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		slots: make([]*wconn, cfg.Conns),
 	}
 	cl.pool.New = func() any {
@@ -212,7 +190,7 @@ func NewWire(cfg WireConfig) (*WireClient, error) {
 }
 
 // Stats reports the client's current resilience state.
-func (cl *WireClient) Stats() Stats { return Stats{Breaker: cl.br.snapshot()} }
+func (cl *WireClient) Stats() Stats { return Stats{Breaker: cl.rt.br.snapshot()} }
 
 // Close tears down the pool. In-flight calls fail with ErrUnavailable.
 func (cl *WireClient) Close() error {
@@ -387,7 +365,7 @@ func (cl *WireClient) scavenge() {
 
 // probe runs one healthz round-trip on cn with a short deadline.
 func (cl *WireClient) probe(cn *wconn) bool {
-	timeout := cl.cfg.Timeout
+	timeout := cl.rt.timeout
 	if timeout > time.Second {
 		timeout = time.Second
 	}
@@ -658,7 +636,7 @@ func (cn *wconn) readLoop(fr *wire.Reader) {
 				})
 				return
 			}
-			ae := classifyCode(ef.Code, ef.RetryAfterMS, ef.Detail)
+			ae := classifyCode(ef.Code, time.Duration(ef.RetryAfterMS)*time.Millisecond, ef.Detail)
 			if ae == nil {
 				ae = &attemptErr{err: fmt.Errorf("%w: error frame with code %v", ErrUnavailable, ef.Code)}
 			}
@@ -773,152 +751,77 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// callRT runs one request under the retry/breaker discipline and returns
-// the completed call on success (the caller converts and recycles it). The
-// body is written inline — no closures — so a served-from-pool success path
-// does not allocate.
+// callRT runs one request under the shared retry discipline and returns
+// the completed call on success (the caller converts and recycles it).
 func (cl *WireClient) callRT(ctx context.Context, kind uint8, q wire.Query, qs []wire.Query) (*wcall, error) {
-	if !cl.br.allow() {
-		return nil, fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
-	}
-	attempts := 1 + cl.cfg.MaxRetries
-	var last attemptErr
-	haveLast := false
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := cl.backoffFor(attempt)
-			if last.after != nil && *last.after > 0 {
-				d = *last.after
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-t.C:
-			}
-		}
-		var ae *attemptErr
-		cn, err := cl.conn()
-		if err != nil {
-			ae = &attemptErr{err: err, retryable: true, breaker: true}
-		} else {
-			call := cl.getCall()
-			call.kind = kind
-			call.q = q
-			call.qs = qs
-			if err := cn.enqueue(call); err != nil {
-				cl.putCall(call)
-				ae = &attemptErr{err: err, retryable: true, breaker: true}
-			} else {
-				delivered, aae := cl.await(cn, call, cl.cfg.Timeout, ctx)
-				ae = aae
-				if delivered {
-					if ae == nil && kind == ckQuery {
-						ae = classifyCode(call.rep.Code, 0, call.rep.Detail)
-					}
-					if ae == nil {
-						cl.br.success()
-						return call, nil
-					}
-					cl.putCall(call)
-				}
-				// Undelivered calls were abandoned; they must not be pooled.
-			}
-		}
-		if ae.breaker {
-			cl.br.failure()
-		}
-		last = *ae
-		haveLast = true
-		retryable := ae.retryable ||
-			(ae.after != nil && *ae.after <= cl.cfg.MaxBackoff)
-		if !retryable {
-			break
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-		}
-	}
-	if !haveLast {
-		return nil, fmt.Errorf("%w: no attempts", ErrUnavailable)
-	}
-	return nil, last.err
+	return retry(ctx, cl.rt, true, func() (*wcall, *attemptErr) {
+		return cl.attempt(ctx, kind, q, qs)
+	})
 }
 
-// backoffFor mirrors Client.backoffFor for the wire transport.
-func (cl *WireClient) backoffFor(attempt int) time.Duration {
-	d := cl.cfg.BaseBackoff << (attempt - 1)
-	if d > cl.cfg.MaxBackoff || d <= 0 {
-		d = cl.cfg.MaxBackoff
+// attempt is one round trip on a pooled connection.
+func (cl *WireClient) attempt(ctx context.Context, kind uint8, q wire.Query, qs []wire.Query) (*wcall, *attemptErr) {
+	cn, err := cl.conn()
+	if err != nil {
+		return nil, &attemptErr{err: err, retryable: true, breaker: true}
 	}
-	half := uint64(d / 2)
-	if half == 0 {
-		return d
+	call := cl.getCall()
+	call.kind = kind
+	call.q = q
+	call.qs = qs
+	if err := cn.enqueue(call); err != nil {
+		cl.putCall(call)
+		return nil, &attemptErr{err: err, retryable: true, breaker: true}
 	}
-	return time.Duration(half + splitmix(uint64(cl.cfg.Seed)^uint64(attempt)*0x9e3779b97f4a7c15)%half)
+	delivered, ae := cl.await(cn, call, cl.rt.timeout, ctx)
+	if !delivered {
+		// Abandoned calls must not be pooled.
+		return nil, ae
+	}
+	if ae == nil && kind == ckQuery {
+		ae = classifyCode(call.rep.Code, call.rep.Code.RetryAfter(), call.rep.Detail)
+	}
+	if ae != nil {
+		cl.putCall(call)
+		return nil, ae
+	}
+	return call, nil
 }
 
-// classifyCode maps a wire error code to the attempt classification the
-// HTTP client derives from status codes — same sentinels, same retry and
-// breaker behavior, same Retry-After honoring. nil means success (CodeOK
-// and CodeNoRoute both surface through Reply.Err, exactly like the HTTP
-// transport's 200 + err body).
-func classifyCode(code wire.Code, retryAfterMS uint32, detail string) *attemptErr {
-	switch code {
-	case wire.CodeOK, wire.CodeNoRoute:
+// classifyCode classifies a wire code through its HTTP status in the serve
+// error table, exactly as the HTTP client classifies that status. nil
+// means success (CodeOK and CodeNoRoute both surface through Reply.Err,
+// like the HTTP transport's 200 + err body). after is the hint a
+// rejection carries.
+func classifyCode(code wire.Code, after time.Duration, detail string) *attemptErr {
+	status := code.HTTPStatus()
+	if status < 300 {
 		return nil
-	case wire.CodeBadVertex, wire.CodeBadQuery:
-		return &attemptErr{err: fmt.Errorf("%w: %s", ErrBadRequest, detail)}
-	case wire.CodeBrownout:
-		// The HTTP server answers brownout with 429 + Retry-After: 1; keep
-		// the hinted-rejection semantics identical here.
-		after := time.Second
-		return &attemptErr{err: &RejectedError{After: after, Detail: detail}, after: &after}
-	case wire.CodeRejected:
-		after := time.Duration(retryAfterMS) * time.Millisecond
-		return &attemptErr{err: &RejectedError{After: after, Detail: detail}, after: &after}
-	case wire.CodeDeadline:
-		return &attemptErr{err: fmt.Errorf("%w: %s", ErrTimeout, detail), retryable: true}
-	case wire.CodeOverloaded, wire.CodeClosed:
-		return &attemptErr{err: fmt.Errorf("%w: %s", ErrUnavailable, detail), retryable: true, breaker: true}
-	case wire.CodeVersion:
-		return &attemptErr{err: fmt.Errorf("%w: %s", ErrUnavailable, detail)}
-	default: // CodeInternal, CodePartitioned, CodeBadFrame, future codes
-		return &attemptErr{err: fmt.Errorf("%w: %s (%v)", ErrUnavailable, detail, code), retryable: true, breaker: true}
 	}
+	var hint *time.Duration
+	if status == http.StatusTooManyRequests {
+		d := after
+		hint = &d
+	}
+	return classify(status, code.String(), hint, detail)
 }
 
 // --- request/reply conversion ---
 
-var wireTypeNames = [3]string{"dist", "path", "route"}
-
-// queryToWire converts the public Query to wire form. Invalid type or
-// priority strings fail locally with ErrBadRequest — the wire transport
-// pre-empts what the HTTP server would answer with a 400.
+// queryToWire converts the public Query to wire form. An unknown type or
+// priority name fails with ErrBadRequest and converts to an out-of-range
+// byte, which the server refuses in its slot if the entry is sent anyway.
 func queryToWire(q Query) (wire.Query, error) {
-	var w wire.Query
-	switch q.Type {
-	case "dist":
-		w.Type = wire.TypeDist
-	case "path":
-		w.Type = wire.TypePath
-	case "route":
-		w.Type = wire.TypeRoute
-	default:
+	typ, terr := serve.ParseQueryType(q.Type)
+	prio, perr := serve.ParsePriority(q.Priority)
+	w := wire.Query{Type: uint8(typ), Priority: uint8(prio), AllowDegraded: q.AllowDegraded,
+		U: q.U, V: q.V, DeadlineMS: q.DeadlineMS}
+	switch {
+	case terr != nil:
 		return w, fmt.Errorf("%w: unknown query type %q", ErrBadRequest, q.Type)
-	}
-	switch q.Priority {
-	case "", "high":
-		w.Priority = wire.PriorityHigh
-	case "low":
-		w.Priority = wire.PriorityLow
-	default:
+	case perr != nil:
 		return w, fmt.Errorf("%w: bad priority %q", ErrBadRequest, q.Priority)
 	}
-	w.AllowDegraded = q.AllowDegraded
-	w.U, w.V = q.U, q.V
-	w.DeadlineMS = q.DeadlineMS
 	return w, nil
 }
 
@@ -927,6 +830,7 @@ func queryToWire(q Query) (wire.Query, error) {
 // what makes cross-transport answers byte-identical after JSON encoding.
 func wireToReply(w *wire.Reply) Reply {
 	r := Reply{
+		Type:     serve.QueryType(w.Type).String(),
 		U:        w.U,
 		V:        w.V,
 		Dist:     w.Dist,
@@ -935,11 +839,6 @@ func wireToReply(w *wire.Reply) Reply {
 		Composed: w.Composed,
 		Snapshot: w.Snapshot,
 		Gen:      w.Gen,
-	}
-	if int(w.Type) < len(wireTypeNames) {
-		r.Type = wireTypeNames[w.Type]
-	} else {
-		r.Type = "invalid"
 	}
 	if len(w.Path) > 0 {
 		r.Path = append([]int32(nil), w.Path...)
@@ -995,48 +894,27 @@ func (cl *WireClient) Dist(ctx context.Context, u, v int32) (Reply, error) {
 }
 
 // Batch runs qs as one explicit MsgBatch frame and returns per-entry
-// replies. Entries the client can't express on the wire (bad type/priority)
-// fail locally in their slot, as the server would have answered them.
+// replies. Entries with an unknown type or priority fail in their slots,
+// refused by the server as over HTTP.
 func (cl *WireClient) Batch(ctx context.Context, qs []Query) ([]Reply, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
 	wqs := make([]wire.Query, len(qs))
-	invalid := make([]error, len(qs))
-	valid := 0
 	for i, q := range qs {
-		wq, err := queryToWire(q)
-		if err != nil {
-			invalid[i] = err
-			continue
-		}
-		wqs[valid] = wq
-		valid++
+		wqs[i], _ = queryToWire(q)
+	}
+	call, err := cl.callRT(ctx, ckBatch, wire.Query{}, wqs)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.putCall(call)
+	if len(call.reps) != len(qs) {
+		return nil, fmt.Errorf("%w: batch reply has %d entries, want %d", ErrUnavailable, len(call.reps), len(qs))
 	}
 	out := make([]Reply, len(qs))
-	if valid > 0 {
-		call, err := cl.callRT(ctx, ckBatch, wire.Query{}, wqs[:valid])
-		if err != nil {
-			return nil, err
-		}
-		if len(call.reps) != valid {
-			n := len(call.reps)
-			cl.putCall(call)
-			return nil, fmt.Errorf("%w: batch reply has %d entries, want %d", ErrUnavailable, n, valid)
-		}
-		j := 0
-		for i := range qs {
-			if invalid[i] == nil {
-				out[i] = wireToReply(&call.reps[j])
-				j++
-			}
-		}
-		cl.putCall(call)
-	}
-	for i := range qs {
-		if invalid[i] != nil {
-			out[i] = Reply{Type: qs[i].Type, U: qs[i].U, V: qs[i].V, Err: invalid[i].Error()}
-		}
+	for i := range out {
+		out[i] = wireToReply(&call.reps[i])
 	}
 	return out, nil
 }

@@ -4,15 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
 
+	"spanner/client"
 	"spanner/internal/artifact"
 	"spanner/internal/clusterserve"
-	"spanner/internal/graph"
 	"spanner/internal/obs"
 	"spanner/internal/serve"
 )
@@ -32,9 +31,11 @@ type serverOpts struct {
 }
 
 // server wires the engine into HTTP handlers. All responses are JSON
-// (except /metricz?format=prom).
+// (except /metricz?format=prom). /query and /batch are a codec over the
+// engine's serve.Transport, which holds every request rule.
 type server struct {
 	eng *serve.Engine
+	tp  *serve.Transport
 	ob  *obs.Observer
 	serverOpts
 }
@@ -43,7 +44,7 @@ func newServer(eng *serve.Engine, ob *obs.Observer, opts serverOpts) *server {
 	if opts.logger == nil {
 		opts.logger = slog.New(discardHandler{})
 	}
-	return &server{eng: eng, ob: ob, serverOpts: opts}
+	return &server{eng: eng, tp: eng.Transport("json", ob), ob: ob, serverOpts: opts}
 }
 
 // discardHandler is a no-op slog handler so s.logger is never nil.
@@ -70,53 +71,13 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-// retryAfterHint is the Retry-After delay (seconds) sent with every 429:
-// brownouts lift on the SLO monitor's poll cadence (~seconds), so "come
-// back in 1s" is honest pacing, and well-behaved clients (see client's
-// RejectedError) use it instead of guessing.
-const retryAfterHint = "1"
-
-// queryJSON is the wire form of a request (POST /query and /batch entries).
-type queryJSON struct {
-	Type string `json:"type"`
-	U    int32  `json:"u"`
-	V    int32  `json:"v"`
-	// DeadlineMS, when positive, bounds queueing+execution time.
-	DeadlineMS int64 `json:"deadlineMs,omitempty"`
-	// Priority is ""/"high" (protected) or "low" (shed first when the
-	// server browns out).
-	Priority string `json:"priority,omitempty"`
-	// AllowDegraded asks for the inline landmark-bound estimate (flagged
-	// Degraded) instead of the exact queued oracle answer. Dist only. The
-	// cluster router sets it when quorum is lost.
-	AllowDegraded bool `json:"allowDegraded,omitempty"`
-}
-
-// replyJSON is the wire form of a reply.
-type replyJSON struct {
-	Type     string  `json:"type"`
-	U        int32   `json:"u"`
-	V        int32   `json:"v"`
-	Dist     int32   `json:"dist"`
-	Path     []int32 `json:"path,omitempty"`
-	Bound    *int32  `json:"bound,omitempty"`
-	Cached   bool    `json:"cached"`
-	Degraded bool    `json:"degraded,omitempty"`
-	// Composed marks a cross-partition distance from a partition replica:
-	// Dist is a landmark-relay upper bound, Bound the matching lower
-	// certificate.
-	Composed bool  `json:"composed,omitempty"`
-	Snapshot int64 `json:"snapshot"`
-	// Gen is the cluster generation of the snapshot that answered (0 when
-	// the daemon is not cluster-managed). Snapshot is replica-local and
-	// resets on restart; Gen is router-assigned and comparable across
-	// replicas — the chaos oracle validates answers against it.
-	Gen int64  `json:"gen,omitempty"`
-	Err string `json:"err,omitempty"`
-}
-
-func toWire(r serve.Reply) replyJSON {
-	w := replyJSON{
+// reply encodes an engine reply and, on a cluster replica, stamps the
+// cluster generation of the snapshot that answered. The replica records
+// the snapshot→generation mapping under the same lock that publishes a
+// commit, so a query that finished on the old snapshot during a cut-over
+// is stamped with the old generation — never mislabeled with the new one.
+func (s *server) reply(r serve.Reply) client.Reply {
+	w := client.Reply{
 		Type:     r.Type.String(),
 		U:        r.U,
 		V:        r.V,
@@ -127,48 +88,29 @@ func toWire(r serve.Reply) replyJSON {
 		Composed: r.Composed,
 		Snapshot: r.SnapshotID,
 	}
-	if (r.Type == serve.QueryRoute && r.Bound != graph.Unreachable) || r.Composed {
+	if r.HasBound() {
 		b := r.Bound
 		w.Bound = &b
 	}
 	if r.Err != nil {
 		w.Err = r.Err.Error()
 	}
-	return w
-}
-
-// wire converts a reply and, on a cluster replica, stamps the cluster
-// generation of the snapshot that answered. The replica records the
-// snapshot→generation mapping under the same lock that publishes a
-// commit, so a query that finished on the old snapshot during a cut-over
-// is stamped with the old generation — never mislabeled with the new one.
-func (s *server) wire(r serve.Reply) replyJSON {
-	w := toWire(r)
 	if s.cluster != nil {
 		w.Gen = s.cluster.GenOf(r.SnapshotID)
 	}
 	return w
 }
 
-// statusFor maps typed engine errors to HTTP status codes. ErrNoRoute is a
-// valid answer about the graph, not a server failure, so it stays 200.
-func statusFor(err error) int {
-	switch {
-	case err == nil, errors.Is(err, serve.ErrNoRoute):
-		return http.StatusOK
-	case errors.Is(err, serve.ErrBadVertex), errors.Is(err, serve.ErrBadQuery):
-		return http.StatusBadRequest
-	case errors.Is(err, serve.ErrBrownout):
-		// Deliberate shed, not an outage: 429 tells well-behaved clients to
-		// back off without tripping their circuit breakers.
-		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrDeadline):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
+// request decodes a client.Query. Unknown type or priority names decode
+// out of range, and the engine refuses them like any invalid request.
+func request(q client.Query) serve.Request {
+	typ, _ := serve.ParseQueryType(q.Type)
+	prio, _ := serve.ParsePriority(q.Priority)
+	req := serve.Request{Type: typ, U: q.U, V: q.V, Priority: prio, AllowDegraded: q.AllowDegraded}
+	if q.DeadlineMS > 0 {
+		req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
 	}
+	return req
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -181,75 +123,25 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"err": msg})
 }
 
-func (q queryJSON) toRequest() (serve.Request, error) {
-	typ, err := serve.ParseQueryType(q.Type)
-	if err != nil {
-		return serve.Request{}, fmt.Errorf("%w: %q", err, q.Type)
+// writeCoded writes v with the HTTP status and Retry-After hint the serve
+// error table gives code c.
+func writeCoded(w http.ResponseWriter, c serve.Code, v any) {
+	if d := c.RetryAfter(); d > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(d/time.Second)))
 	}
-	prio, err := serve.ParsePriority(q.Priority)
-	if err != nil {
-		return serve.Request{}, fmt.Errorf("bad priority %q", q.Priority)
-	}
-	// Every request built here arrived over the HTTP/JSON transport; the
-	// engine stamps the label into the request trace so span trees and the
-	// slow-query log can tell the transports apart.
-	req := serve.Request{Type: typ, U: q.U, V: q.V, Priority: prio, Transport: "json"}
-	if q.DeadlineMS > 0 {
-		req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
-	}
-	return req, nil
+	writeJSON(w, c.HTTPStatus(), v)
 }
 
 // handleQuery answers one query. GET takes ?type=dist&u=3&v=77
 // (&deadlineMs=50); POST takes the same fields as JSON.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var q queryJSON
-	switch r.Method {
-	case http.MethodGet:
-		q.Type = r.URL.Query().Get("type")
-		u, errU := strconv.ParseInt(r.URL.Query().Get("u"), 10, 32)
-		v, errV := strconv.ParseInt(r.URL.Query().Get("v"), 10, 32)
-		if errU != nil || errV != nil {
-			writeError(w, http.StatusBadRequest, "u and v must be int32")
-			return
-		}
-		q.U, q.V = int32(u), int32(v)
-		q.Priority = r.URL.Query().Get("priority")
-		q.AllowDegraded = r.URL.Query().Get("allowDegraded") == "1"
-		if d := r.URL.Query().Get("deadlineMs"); d != "" {
-			ms, err := strconv.ParseInt(d, 10, 64)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad deadlineMs")
-				return
-			}
-			q.DeadlineMS = ms
-		}
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
-	}
-	req, err := q.toRequest()
+	start := time.Now()
+	q, status, err := client.ReadQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, status, err.Error())
 		return
 	}
-	if q.AllowDegraded {
-		// The caller asked for the cheap landmark bound — answered inline,
-		// never queued, always flagged Degraded. Only distance queries have
-		// a meaningful bound.
-		if req.Type != serve.QueryDist {
-			writeError(w, http.StatusBadRequest, "allowDegraded applies to dist queries only")
-			return
-		}
-		reply := s.eng.DegradedDist(req.U, req.V)
-		writeJSON(w, statusFor(reply.Err), s.wire(reply))
-		return
-	}
+	req := request(q)
 	// Request-scoped trace with a propagated (or generated) request id. The
 	// engine stamps phases and the outcome; the handler owns start/finish,
 	// so the id flows from the HTTP layer through the shard worker.
@@ -259,75 +151,42 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Request-Id", rt.ID)
 		req.Trace = rt
 	}
-	reply := s.eng.Query(req)
+	rep := s.tp.Query(req)
 	s.tracer.Finish(rt)
-	status := statusFor(reply.Err)
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", retryAfterHint)
-	}
-	writeJSON(w, status, s.wire(reply))
+	writeCoded(w, serve.CodeOf(rep.Err), s.reply(rep))
+	s.tp.Sent(start)
 }
 
 // handleBatch answers a JSON array of queries in one round trip; replies
-// come back in input order. The HTTP status reflects parse errors only —
-// per-query failures are per-reply err fields.
+// come back in input order. Per-query failures are per-reply err fields;
+// the HTTP status reflects parse errors and a refused batch only.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var qs []queryJSON
+	var qs []client.Query
 	if err := json.NewDecoder(r.Body).Decode(&qs); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	// The advertised batch limit shrinks under brownout: refusing one large
-	// batch sheds hundreds of queries without touching interactive traffic.
-	if max := s.eng.MaxBatch(); len(qs) > max {
-		w.Header().Set("Retry-After", retryAfterHint)
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("batch of %d exceeds the current limit of %d", len(qs), max))
+	reqs := make([]serve.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = request(q)
+	}
+	reps, err := s.tp.QueryBatch(reqs)
+	if err != nil {
+		writeCoded(w, serve.CodeOf(err), map[string]string{"err": err.Error()})
+		s.tp.Sent(start)
 		return
 	}
-	reqs := make([]serve.Request, len(qs))
-	replies := make([]replyJSON, len(qs))
-	done := make([]bool, len(qs))
-	for i, q := range qs {
-		req, err := q.toRequest()
-		if err != nil {
-			done[i] = true
-			replies[i] = replyJSON{Type: q.Type, U: q.U, V: q.V, Err: err.Error()}
-			continue
-		}
-		if q.AllowDegraded {
-			// Same per-entry semantics as the single-query path (and the
-			// wire server's batch path): dist entries get the inline
-			// landmark bound, flagged Degraded; anything else fails in its
-			// slot.
-			done[i] = true
-			if req.Type != serve.QueryDist {
-				replies[i] = replyJSON{Type: q.Type, U: q.U, V: q.V,
-					Err: "allowDegraded applies to dist queries only"}
-			} else {
-				replies[i] = s.wire(s.eng.DegradedDist(req.U, req.V))
-			}
-			continue
-		}
-		reqs[i] = req
+	out := make([]client.Reply, len(reps))
+	for i, rep := range reps {
+		out[i] = s.reply(rep)
 	}
-	// Engine-side batch for the entries not already answered above.
-	idx := make([]int, 0, len(qs))
-	sub := make([]serve.Request, 0, len(qs))
-	for i := range reqs {
-		if !done[i] {
-			idx = append(idx, i)
-			sub = append(sub, reqs[i])
-		}
-	}
-	for j, rep := range s.eng.QueryBatch(sub) {
-		replies[idx[j]] = s.wire(rep)
-	}
-	writeJSON(w, http.StatusOK, replies)
+	writeJSON(w, http.StatusOK, out)
+	s.tp.Sent(start)
 }
 
 // handleSwap loads a new artifact from disk and hot-swaps it under live

@@ -2,22 +2,28 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"spanner/client"
 	"spanner/internal/obs"
 	"spanner/internal/serve"
+	"spanner/internal/wire"
 )
 
 // testObsServer builds a fully instrumented server: every request traced,
-// slow queries logged to logBuf, SLO monitored.
-func testObsServer(t *testing.T, logBuf *bytes.Buffer) (*httptest.Server, *obs.MemorySink) {
+// slow queries logged to logBuf, SLO monitored. Like spannerd -wire-addr,
+// it also serves the engine over the wire transport into the same
+// observer, at the returned address.
+func testObsServer(t *testing.T, logBuf *bytes.Buffer) (*httptest.Server, *obs.MemorySink, string) {
 	t.Helper()
 	a := testArtifact(t, 80, 21)
 	sink := obs.NewMemorySink()
@@ -34,13 +40,30 @@ func testObsServer(t *testing.T, logBuf *bytes.Buffer) (*httptest.Server, *obs.M
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newServer(eng, ob, serverOpts{tracer: tracer, slo: slo, logger: logger}).routes())
-	t.Cleanup(func() { ts.Close(); eng.Close() })
-	return ts, sink
+	wsrv, err := wire.NewServer(wire.ServerConfig{Engine: eng, Obs: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- wsrv.Serve(ln) }()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		wsrv.Shutdown(ctx)
+		<-done
+		eng.Close()
+	})
+	return ts, sink, ln.Addr().String()
 }
 
 func TestRequestIDPropagation(t *testing.T) {
 	var logBuf bytes.Buffer
-	ts, sink := testObsServer(t, &logBuf)
+	ts, sink, _ := testObsServer(t, &logBuf)
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/query?type=dist&u=1&v=2", nil)
 	req.Header.Set("X-Request-Id", "edge-7f3a")
@@ -92,13 +115,26 @@ func TestRequestIDPropagation(t *testing.T) {
 // parser and carries the serving metrics.
 func TestMetriczPrometheusRoundTrip(t *testing.T) {
 	var logBuf bytes.Buffer
-	ts, _ := testObsServer(t, &logBuf)
+	ts, _, wireAddr := testObsServer(t, &logBuf)
 	for i := 0; i < 20; i++ {
 		r, err := http.Get(ts.URL + fmt.Sprintf("/query?type=dist&u=%d&v=%d", i%40, 79-i%40))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
+	}
+	wc, err := client.NewWire(client.WireConfig{Addr: wireAddr, MaxRetries: -1, ScavengeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := wc.Dist(context.Background(), int32(i), 79); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wc.Query(context.Background(), client.Query{Type: "dist", U: 0, V: 99999}); err == nil {
+		t.Fatal("out-of-range wire query succeeded")
 	}
 
 	resp, err := http.Get(ts.URL + "/metricz?format=prom")
@@ -130,6 +166,33 @@ func TestMetriczPrometheusRoundTrip(t *testing.T) {
 	if len(byName["serve_phase_ns_bucket"]) == 0 {
 		t.Fatal("no per-phase latency buckets in exposition")
 	}
+	// Both transports report through the shared dispatch: one request per
+	// query, the bad-vertex one as an error. Requests are counted before the
+	// reply is written; latency after, so the wire side's last observation
+	// may still be in flight and only its series is checked.
+	transport := func(name, label string) float64 {
+		for _, s := range byName[name] {
+			if s.Label("transport") == label {
+				return s.Value
+			}
+		}
+		return -1
+	}
+	for _, c := range []struct {
+		name, label string
+		want        float64
+	}{
+		{"transport_requests", "json", 20}, {"transport_errors", "json", 0},
+		{"transport_latency_us_count", "json", 20},
+		{"transport_requests", "wire", 6}, {"transport_errors", "wire", 1},
+	} {
+		if got := transport(c.name, c.label); got != c.want {
+			t.Fatalf("%s{transport=%s} = %v, want %v", c.name, c.label, got, c.want)
+		}
+	}
+	if transport("transport_latency_us_count", "wire") < 0 {
+		t.Fatal("no transport_latency_us{transport=wire} series")
+	}
 	if len(byName["serve_queue_depth"]) != 2 {
 		t.Fatalf("queue depth gauges = %d samples, want one per shard", len(byName["serve_queue_depth"]))
 	}
@@ -147,7 +210,7 @@ func TestMetriczPrometheusRoundTrip(t *testing.T) {
 
 func TestMetriczJSONCarriesHistSnapshots(t *testing.T) {
 	var logBuf bytes.Buffer
-	ts, _ := testObsServer(t, &logBuf)
+	ts, _, _ := testObsServer(t, &logBuf)
 	for i := 0; i < 10; i++ {
 		r, err := http.Get(ts.URL + fmt.Sprintf("/query?type=dist&u=%d&v=%d", i, i+1))
 		if err != nil {
@@ -191,7 +254,7 @@ func TestMetriczJSONCarriesHistSnapshots(t *testing.T) {
 // /readyz flips to 503.
 func TestSLOEndpointAndHealthDegradation(t *testing.T) {
 	var logBuf bytes.Buffer
-	ts, _ := testObsServer(t, &logBuf)
+	ts, _, _ := testObsServer(t, &logBuf)
 
 	// Healthy first.
 	resp, err := http.Get(ts.URL + "/slo")

@@ -18,16 +18,26 @@ import (
 	"spanner/internal/wire"
 )
 
+// twins is one artifact served twice: hc over HTTP/JSON by engine he
+// (metrics in hob), wc over the binary wire transport by engine we (metrics
+// in wob).
+type twins struct {
+	hc       *client.Client
+	wc       *client.WireClient
+	he, we   *serve.Engine
+	hob, wob *obs.Observer
+}
+
 // twinTransports serves the same artifact (or part) through two
 // identically-configured engines — one behind the HTTP/JSON routes, one
 // behind the binary wire listener — so an identical query stream hits
 // identical cache and admission behavior on both and any divergence is the
 // transport's fault.
-func twinTransports(t *testing.T, art *artifact.Artifact, part *artifact.Part, cfg serve.Config) (*client.Client, *client.WireClient, *serve.Engine, *serve.Engine) {
+func twinTransports(t *testing.T, art *artifact.Artifact, part *artifact.Part, cfg serve.Config) twins {
 	t.Helper()
-	build := func() *serve.Engine {
+	build := func(ob *obs.Observer) *serve.Engine {
 		c := cfg
-		c.Obs = obs.New()
+		c.Obs = ob
 		var eng *serve.Engine
 		var err error
 		if part != nil {
@@ -41,12 +51,13 @@ func twinTransports(t *testing.T, art *artifact.Artifact, part *artifact.Part, c
 		t.Cleanup(eng.Close)
 		return eng
 	}
-	hengine := build()
-	ts := httptest.NewServer(newServer(hengine, nil, serverOpts{}).routes())
+	tw := twins{hob: obs.New(), wob: obs.New()}
+	tw.he = build(tw.hob)
+	ts := httptest.NewServer(newServer(tw.he, tw.hob, serverOpts{}).routes())
 	t.Cleanup(ts.Close)
 
-	wengine := build()
-	wsrv, err := wire.NewServer(wire.ServerConfig{Engine: wengine})
+	tw.we = build(tw.wob)
+	wsrv, err := wire.NewServer(wire.ServerConfig{Engine: tw.we, Obs: tw.wob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +74,13 @@ func twinTransports(t *testing.T, art *artifact.Artifact, part *artifact.Part, c
 		<-done
 	})
 
-	hc := client.New(client.Config{BaseURL: ts.URL, MaxRetries: -1})
-	wc, err := client.NewWire(client.WireConfig{Addr: ln.Addr().String(), MaxRetries: -1, ScavengeEvery: -1})
+	tw.hc = client.New(client.Config{BaseURL: ts.URL, MaxRetries: -1})
+	tw.wc, err = client.NewWire(client.WireConfig{Addr: ln.Addr().String(), MaxRetries: -1, ScavengeEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { wc.Close() })
-	return hc, wc, hengine, wengine
+	t.Cleanup(func() { tw.wc.Close() })
+	return tw
 }
 
 // mustJSON renders a reply the way the HTTP transport would put it on the
@@ -110,7 +121,8 @@ func sameTypedErr(a, b error) bool {
 // classification of every failure.
 func TestCrossTransportEquivalence(t *testing.T) {
 	a := testArtifact(t, 120, 3)
-	hc, wc, _, _ := twinTransports(t, a, nil, serve.Config{Shards: 2, CacheSize: 128})
+	tw := twinTransports(t, a, nil, serve.Config{Shards: 2, CacheSize: 128})
+	hc, wc := tw.hc, tw.wc
 	ctx := context.Background()
 
 	var stream []client.Query
@@ -161,7 +173,8 @@ func TestCrossTransportEquivalence(t *testing.T) {
 // same way, including per-entry errors inside a successful batch.
 func TestCrossTransportBatchEquivalence(t *testing.T) {
 	a := testArtifact(t, 100, 5)
-	hc, wc, _, _ := twinTransports(t, a, nil, serve.Config{Shards: 2, CacheSize: 64})
+	tw := twinTransports(t, a, nil, serve.Config{Shards: 2, CacheSize: 64})
+	hc, wc := tw.hc, tw.wc
 	ctx := context.Background()
 
 	batch := []client.Query{
@@ -212,7 +225,8 @@ func TestCrossTransportComposedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, wc, _, _ := twinTransports(t, nil, res.Parts[0], serve.Config{Shards: 2, CacheSize: 64})
+	tw := twinTransports(t, nil, res.Parts[0], serve.Config{Shards: 2, CacheSize: 64})
+	hc, wc := tw.hc, tw.wc
 	ctx := context.Background()
 
 	composed := 0
@@ -306,9 +320,10 @@ func TestLoadgenWire(t *testing.T) {
 // 1-second hint.
 func TestCrossTransportBrownoutEquivalence(t *testing.T) {
 	a := testArtifact(t, 60, 1)
-	hc, wc, he, we := twinTransports(t, a, nil, serve.Config{Shards: 1})
-	he.SetBrownout(true)
-	we.SetBrownout(true)
+	tw := twinTransports(t, a, nil, serve.Config{Shards: 1})
+	hc, wc := tw.hc, tw.wc
+	tw.he.SetBrownout(true)
+	tw.we.SetBrownout(true)
 	ctx := context.Background()
 
 	q := client.Query{Type: "dist", U: 1, V: 2, Priority: "low"}
@@ -323,5 +338,69 @@ func TestCrossTransportBrownoutEquivalence(t *testing.T) {
 	}
 	if hre.Detail != wre.Detail {
 		t.Fatalf("rejection details differ: http %q, wire %q", hre.Detail, wre.Detail)
+	}
+}
+
+// TestCrossTransportPartitionRefusal pins a partition member's refusal of
+// route queries as a bad request on both transports: the member is
+// healthy and right to refuse, so the refusal must neither be retried nor
+// trip the client's circuit breaker and shed the member's dist traffic.
+func TestCrossTransportPartitionRefusal(t *testing.T) {
+	a := testArtifact(t, 150, 7)
+	res, err := partition.Split(a, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := twinTransports(t, nil, res.Parts[0], serve.Config{Shards: 2})
+	ctx := context.Background()
+	q := client.Query{Type: "route", U: 1, V: 2}
+	for i := 0; i < 10; i++ {
+		_, herr := tw.hc.Query(ctx, q)
+		_, werr := tw.wc.Query(ctx, q)
+		if !errors.Is(herr, client.ErrBadRequest) || !errors.Is(werr, client.ErrBadRequest) {
+			t.Fatalf("route %d on a partition member: http err %v, wire err %v; want ErrBadRequest", i, herr, werr)
+		}
+	}
+	if hs, ws := tw.hc.Stats().Breaker, tw.wc.Stats().Breaker; hs != "closed" || ws != "closed" {
+		t.Fatalf("breakers after correct refusals: http %s, wire %s; want closed", hs, ws)
+	}
+	if _, err := tw.hc.Dist(ctx, 1, 2); err != nil {
+		t.Fatalf("http dist after refusals: %v", err)
+	}
+	if _, err := tw.wc.Dist(ctx, 1, 2); err != nil {
+		t.Fatalf("wire dist after refusals: %v", err)
+	}
+}
+
+// TestCrossTransportBatchSizeObserved sends one batch mixing an
+// AllowDegraded dist entry with exact entries over each transport: the
+// engine must answer it as one batch, so serve.batch_size observes the
+// full length exactly once on both.
+func TestCrossTransportBatchSizeObserved(t *testing.T) {
+	a := testArtifact(t, 100, 5)
+	tw := twinTransports(t, a, nil, serve.Config{Shards: 2})
+	ctx := context.Background()
+	batch := []client.Query{
+		{Type: "dist", U: 1, V: 2},
+		{Type: "dist", U: 9, V: 10, AllowDegraded: true},
+		{Type: "path", U: 3, V: 44},
+	}
+	if _, err := tw.hc.Batch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.wc.Batch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	for name, ob := range map[string]*obs.Observer{"http": tw.hob, "wire": tw.wob} {
+		var count int64
+		var sum float64
+		for _, m := range ob.Registry().Snapshot() {
+			if m.Name == "serve.batch_size" {
+				count, sum = m.Count, m.Value
+			}
+		}
+		if count != 1 || sum != float64(len(batch)) {
+			t.Fatalf("%s: serve.batch_size observed %d times summing %v; want once with %d", name, count, sum, len(batch))
+		}
 	}
 }

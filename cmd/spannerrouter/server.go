@@ -78,8 +78,9 @@ func statusFor(err error) int {
 // X-Served-By / X-Failovers headers so chaos suites and the loadgen can
 // attribute answers without scraping /statusz.
 func (s *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, ok := decodeQuery(w, r)
-	if !ok {
+	q, status, err := client.ReadQuery(r)
+	if err != nil {
+		writeError(w, status, err.Error())
 		return
 	}
 	rep, tr, err := s.cl.QueryTraced(r.Context(), q)
@@ -228,8 +229,9 @@ func (s *partitionServer) routes() http.Handler {
 }
 
 func (s *partitionServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, ok := decodeQuery(w, r)
-	if !ok {
+	q, status, err := client.ReadQuery(r)
+	if err != nil {
+		writeError(w, status, err.Error())
 		return
 	}
 	rep, tr, err := s.pc.QueryTraced(r.Context(), q)
@@ -338,40 +340,4 @@ func (s *partitionServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *partitionServer) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.pc.Status())
-}
-
-// decodeQuery parses the shared GET/POST query wire forms; it writes the
-// error response itself when the request is malformed.
-func decodeQuery(w http.ResponseWriter, r *http.Request) (client.Query, bool) {
-	var q client.Query
-	switch r.Method {
-	case http.MethodGet:
-		q.Type = r.URL.Query().Get("type")
-		u, errU := strconv.ParseInt(r.URL.Query().Get("u"), 10, 32)
-		v, errV := strconv.ParseInt(r.URL.Query().Get("v"), 10, 32)
-		if errU != nil || errV != nil {
-			writeError(w, http.StatusBadRequest, "u and v must be int32")
-			return q, false
-		}
-		q.U, q.V = int32(u), int32(v)
-		q.Priority = r.URL.Query().Get("priority")
-		q.AllowDegraded = r.URL.Query().Get("allowDegraded") == "1"
-		if d := r.URL.Query().Get("deadlineMs"); d != "" {
-			ms, err := strconv.ParseInt(d, 10, 64)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad deadlineMs")
-				return q, false
-			}
-			q.DeadlineMS = ms
-		}
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return q, false
-		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return q, false
-	}
-	return q, true
 }

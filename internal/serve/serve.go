@@ -29,6 +29,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,14 +64,16 @@ func (t QueryType) String() string {
 	return "invalid"
 }
 
-// ParseQueryType parses "dist", "path" or "route".
+// ParseQueryType parses "dist", "path" or "route". An unknown name returns
+// ErrBadQuery with an out-of-range type, which the engine refuses the same
+// way, so a transport can pass it on and let the engine answer.
 func ParseQueryType(s string) (QueryType, error) {
 	for i, name := range queryTypeNames {
 		if s == name {
 			return QueryType(i), nil
 		}
 	}
-	return 0, ErrBadQuery
+	return numQueryTypes, ErrBadQuery
 }
 
 // Priority classifies a request for load shedding. The zero value is
@@ -87,7 +90,8 @@ const (
 	PriorityLow
 )
 
-// ParsePriority parses "high"/"" or "low".
+// ParsePriority parses "high"/"" or "low". Like ParseQueryType, an unknown
+// name returns an out-of-range priority the engine refuses.
 func ParsePriority(s string) (Priority, error) {
 	switch s {
 	case "", "high":
@@ -95,7 +99,7 @@ func ParsePriority(s string) (Priority, error) {
 	case "low":
 		return PriorityLow, nil
 	}
-	return 0, errors.New("serve: unknown priority")
+	return PriorityLow + 1, errBadPriority
 }
 
 func (p Priority) String() string {
@@ -129,7 +133,23 @@ var (
 	// part snapshot does not hold. Ask an unpartitioned engine (or the
 	// router, which refuses it with the same error).
 	ErrPartitioned = errors.New("serve: query not served by a partition member")
+	// ErrBatchLimit reports a batch larger than MaxBatch allows right now.
+	// The whole batch is refused; transports send the RetryAfter hint.
+	ErrBatchLimit = errors.New("serve: batch exceeds the current limit")
+
+	errBadPriority      = &refusal{ErrBadQuery, "serve: unknown priority"}
+	errDegradedDistOnly = &refusal{ErrBadQuery, "allowDegraded applies to dist queries only"}
 )
+
+// refusal is a typed error with its own wording: errors.Is matches its
+// sentinel, and its text is what the transports send.
+type refusal struct {
+	sentinel error
+	msg      string
+}
+
+func (r *refusal) Error() string { return r.msg }
+func (r *refusal) Unwrap() error { return r.sentinel }
 
 // Request is one query.
 type Request struct {
@@ -147,11 +167,30 @@ type Request struct {
 	// does. When nil and Config.Tracer is set, the engine starts and
 	// finishes its own trace for the request.
 	Trace *obs.ReqTrace
+	// AllowDegraded asks for the inline landmark-bound estimate (flagged
+	// Degraded, never queued) instead of the exact oracle answer. Only
+	// distance queries have such a bound; other types are refused as bad
+	// queries. The cluster router sets it when quorum is lost.
+	AllowDegraded bool
 	// Transport labels which transport delivered the request ("json",
 	// "wire"; "" for embedded callers). Stamped into the request trace so
 	// span trees and the slow-query log attribute latency to the transport
 	// that carried it.
 	Transport string
+}
+
+// invalid applies the request rules that need no snapshot: a known type, a
+// known priority, and AllowDegraded on distance queries only.
+func (req *Request) invalid() error {
+	switch {
+	case req.Type >= numQueryTypes:
+		return ErrBadQuery
+	case req.Priority > PriorityLow:
+		return errBadPriority
+	case req.AllowDegraded && req.Type != QueryDist:
+		return errDegradedDistOnly
+	}
+	return nil
 }
 
 // Reply is one query's outcome.
@@ -188,6 +227,13 @@ type Reply struct {
 	Err error
 }
 
+// HasBound reports whether Bound is part of the answer: a route's landmark
+// bound when one exists, or a Composed answer's lower certificate. Every
+// transport sends Bound exactly when this holds.
+func (r Reply) HasBound() bool {
+	return (r.Type == QueryRoute && r.Bound != graph.Unreachable) || r.Composed
+}
+
 // Config tunes an Engine. The zero value picks sensible defaults.
 type Config struct {
 	// Shards is the number of worker goroutines (and cache partitions);
@@ -215,10 +261,8 @@ type Config struct {
 	// engine-owned request (requests carrying a caller-owned Trace are the
 	// caller's to record, with the caller's notion of total latency).
 	SLO *obs.SLOMonitor
-	// MaxBatch is the batch-size limit the engine advertises via MaxBatch();
-	// 0 means 1024. The engine itself does not reject oversized QueryBatch
-	// calls — the serving front end enforces the advertised limit, which
-	// shrinks under brownout.
+	// MaxBatch is the batch-size limit QueryBatch enforces (see MaxBatch());
+	// 0 means 1024. It shrinks under brownout.
 	MaxBatch int
 	// BrownoutPoll, when positive and SLO is set, starts the brownout
 	// controller: a goroutine polling the SLO monitor every BrownoutPoll
@@ -438,10 +482,10 @@ func (e *Engine) SetBrownout(on bool) {
 	}
 }
 
-// MaxBatch returns the batch-size limit the serving front end should
-// enforce right now: Config.MaxBatch normally, a quarter of it under
-// brownout (large batches are the cheapest demand to refuse — one rejection
-// sheds hundreds of queries without touching interactive traffic).
+// MaxBatch returns the batch-size limit QueryBatch enforces right now:
+// Config.MaxBatch normally, a quarter of it under brownout (large batches
+// are the cheapest demand to refuse — one rejection sheds hundreds of
+// queries without touching interactive traffic).
 func (e *Engine) MaxBatch() int {
 	max := e.cfg.MaxBatch
 	if e.brownout.Load() {
@@ -572,10 +616,14 @@ func (e *Engine) submit(req Request, r *Reply, wg *sync.WaitGroup) bool {
 	if t.rt != nil && req.Transport != "" {
 		t.rt.Transport = req.Transport
 	}
-	if req.Type >= numQueryTypes {
-		*r = Reply{Type: req.Type, U: req.U, V: req.V, Err: ErrBadQuery}
+	if err := req.invalid(); err != nil {
+		*r = Reply{Type: req.Type, U: req.U, V: req.V, Err: err}
 		e.rejects["type"].Inc()
 		e.reject(&t)
+		return false
+	}
+	if req.AllowDegraded {
+		e.degradedDist(&t)
 		return false
 	}
 	// Brownout shedding: one atomic load on the no-fault path (asserted
@@ -628,9 +676,10 @@ func (e *Engine) submit(req Request, r *Reply, wg *sync.WaitGroup) bool {
 	}
 }
 
-// degradedDist fills t.reply with the landmark-approximate distance, the
-// brownout fallback for QueryDist when the shard queue is full. The reply
-// has Err == nil and Degraded == true; bad vertices still reject.
+// degradedDist fills t.reply with the landmark-approximate distance: the
+// answer to an AllowDegraded request, and the brownout fallback for
+// QueryDist when the shard queue is full. The reply has Err == nil and
+// Degraded == true; bad vertices still reject.
 func (e *Engine) degradedDist(t *task) {
 	req := t.req
 	snap := e.snap.Load()
@@ -650,23 +699,12 @@ func (e *Engine) degradedDist(t *task) {
 
 // DegradedDist answers a distance query inline on the caller's goroutine
 // from the snapshot's cached landmark arrays: an upper bound on the true
-// distance, flagged Degraded, never queued. This is the same estimator the
-// brownout queue-full fallback serves; the cluster router calls it (via the
-// daemon's allowDegraded request flag) when quorum is lost and an exact
-// committed-generation answer cannot be guaranteed.
+// distance, flagged Degraded, never queued. It is the answer to an
+// AllowDegraded request and the same estimator the brownout queue-full
+// fallback serves; the cluster router asks for it when quorum is lost and
+// an exact committed-generation answer cannot be guaranteed.
 func (e *Engine) DegradedDist(u, v int32) Reply {
-	snap := e.snap.Load()
-	r := Reply{Type: QueryDist, U: u, V: v, SnapshotID: snap.ID}
-	if n := int32(snap.N()); u < 0 || u >= n || v < 0 || v >= n {
-		r.Err = ErrBadVertex
-		e.rejects["vertex"].Inc()
-		return r
-	}
-	r.Dist = snap.ApproxDist(u, v)
-	r.Degraded = true
-	e.degraded.Inc()
-	e.queries[QueryDist].Inc()
-	return r
+	return e.Query(Request{Type: QueryDist, U: u, V: v, AllowDegraded: true})
 }
 
 // Query answers one request, blocking until it completes or is rejected.
@@ -681,9 +719,15 @@ func (e *Engine) Query(req Request) Reply {
 }
 
 // QueryBatch answers a batch, fanning the requests across shards and
-// gathering all replies (order matches the input). Rejections surface as
-// per-reply errors, never as lost entries.
-func (e *Engine) QueryBatch(reqs []Request) []Reply {
+// gathering all replies (order matches the input). Each entry means what
+// it would mean alone, and its rejection surfaces as its reply's error,
+// never as a lost entry. A batch over MaxBatch is refused whole with an
+// error matching ErrBatchLimit: refusing one large batch sheds many
+// queries without touching interactive traffic.
+func (e *Engine) QueryBatch(reqs []Request) ([]Reply, error) {
+	if max := e.MaxBatch(); len(reqs) > max {
+		return nil, &refusal{ErrBatchLimit, fmt.Sprintf("batch of %d exceeds the current limit of %d", len(reqs), max)}
+	}
 	replies := make([]Reply, len(reqs))
 	var wg sync.WaitGroup
 	for i := range reqs {
@@ -694,7 +738,7 @@ func (e *Engine) QueryBatch(reqs []Request) []Reply {
 	}
 	wg.Wait()
 	e.batches.Observe(int64(len(reqs)))
-	return replies
+	return replies, nil
 }
 
 // Dist answers a distance query.

@@ -279,7 +279,10 @@ func TestQueryBatchKeepsOrder(t *testing.T) {
 			Request{Type: QueryPath, U: u, V: v},
 			Request{Type: QueryRoute, U: u, V: v})
 	}
-	replies := e.QueryBatch(reqs)
+	replies, err := e.QueryBatch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(replies) != len(reqs) {
 		t.Fatal("reply count mismatch")
 	}

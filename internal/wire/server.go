@@ -10,14 +10,13 @@ import (
 	"sync"
 	"time"
 
-	"spanner/internal/graph"
 	"spanner/internal/obs"
 	"spanner/internal/serve"
 )
 
-// Server answers the binary protocol over TCP against a serve.Engine — the
-// same engine, admission control, brownout and tracing the HTTP handlers
-// share, so the two transports differ only in encoding. Each connection
+// Server answers the binary protocol over TCP against a serve.Engine. It
+// is a codec over the engine's serve.Transport, which holds every request
+// rule, so this transport and HTTP differ only in encoding. Each connection
 // performs the Hello/HelloAck handshake, then streams pipelined frames: a
 // per-connection worker pool answers them concurrently and out of order
 // (replies matched by correlation id).
@@ -31,13 +30,11 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	pool sync.Pool // *stask
+	tp   *serve.Transport
 
 	connsGauge *obs.Gauge
 	handshakes *obs.Counter
-	requests   *obs.Counter
-	errs       *obs.Counter
 	badFrames  *obs.Counter
-	latency    *obs.Histogram
 	batchSize  *obs.Histogram
 }
 
@@ -62,11 +59,6 @@ type ServerConfig struct {
 	// "").
 	SLOStatus func() string
 }
-
-// batchRetryAfterMS mirrors the HTTP 429 Retry-After hint ("1" second):
-// brownouts lift on the SLO monitor's poll cadence, so "come back in 1s" is
-// honest pacing for a refused batch too.
-const batchRetryAfterMS = 1000
 
 // stask is one in-flight frame's scratch state, pooled per server so the
 // steady-state query path allocates nothing.
@@ -95,17 +87,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(discardHandler{})
 	}
-	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{}), tp: cfg.Engine.Transport("wire", cfg.Obs)}
 	s.pool.New = func() any { return new(stask) }
 	if cfg.Obs != nil {
 		reg := cfg.Obs.Registry()
-		lbl := obs.Label{Key: "transport", Value: "wire"}
 		s.connsGauge = reg.Gauge("wire.conns")
 		s.handshakes = reg.Counter("wire.handshakes")
-		s.requests = reg.Counter("transport.requests", lbl)
-		s.errs = reg.Counter("transport.errors", lbl)
 		s.badFrames = reg.Counter("wire.bad_frames")
-		s.latency = reg.Histogram("transport.latency_us", lbl)
 		s.batchSize = reg.Histogram("wire.batch_size")
 	}
 	return s, nil
@@ -391,132 +379,55 @@ func (s *Server) process(cn *sconn, t *stask) {
 }
 
 func (s *Server) processQuery(cn *sconn, t *stask) error {
-	var start time.Time
-	if s.latency != nil {
-		start = time.Now()
-	}
-	eng := s.cfg.Engine
-	q := &t.q
-	var rep serve.Reply
-	switch {
-	case q.Priority > uint8(serve.PriorityLow):
-		// Mirror the HTTP handler's 400 on an unparseable priority.
-		t.wrep = Reply{
-			Type: q.Type, U: q.U, V: q.V, Code: CodeBadQuery,
-			Detail: "bad priority",
-			Path:   t.wrep.Path[:0],
-		}
-		return s.sendReply(cn, t, start)
-	case q.AllowDegraded && serve.QueryType(q.Type) != serve.QueryDist:
-		// Mirror the HTTP handler's 400: only distance queries have a
-		// meaningful landmark bound.
-		t.wrep = Reply{
-			Type: q.Type, U: q.U, V: q.V, Code: CodeBadQuery,
-			Detail: "allowDegraded applies to dist queries only",
-			Path:   t.wrep.Path[:0],
-		}
-		return s.sendReply(cn, t, start)
-	case q.AllowDegraded:
-		rep = eng.DegradedDist(q.U, q.V)
-	default:
-		req := serve.Request{
-			Type:      serve.QueryType(q.Type),
-			U:         q.U,
-			V:         q.V,
-			Priority:  serve.Priority(q.Priority),
-			Transport: "wire",
-		}
-		if q.DeadlineMS > 0 {
-			req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
-		}
-		rep = eng.Query(req)
-	}
-	s.fillReply(&t.wrep, rep)
-	return s.sendReply(cn, t, start)
-}
-
-func (s *Server) sendReply(cn *sconn, t *stask, start time.Time) error {
+	start := time.Now()
+	s.fillReply(&t.wrep, s.tp.Query(request(&t.q)))
 	t.buf = AppendReplyFrame(t.buf[:0], t.corr, &t.wrep)
 	err := cn.write(t.buf)
-	if s.requests != nil {
-		s.requests.Inc()
-		if t.wrep.Code != CodeOK && t.wrep.Code != CodeNoRoute {
-			s.errs.Inc()
-		}
-		s.latency.Observe(time.Since(start).Microseconds())
-	}
+	s.tp.Sent(start)
 	return err
 }
 
 func (s *Server) processBatch(cn *sconn, t *stask) error {
-	eng := s.cfg.Engine
-	if max := eng.MaxBatch(); len(t.qs) > max {
-		// The advertised batch limit shrinks under brownout; the refusal
-		// carries the same pacing hint as the HTTP 429 + Retry-After.
-		cn.writeError(t.corr, CodeRejected, batchRetryAfterMS,
-			fmt.Sprintf("batch of %d exceeds the current limit of %d", len(t.qs), max))
+	start := time.Now()
+	t.reqs = t.reqs[:0]
+	for i := range t.qs {
+		t.reqs = append(t.reqs, request(&t.qs[i]))
+	}
+	reps, err := s.tp.QueryBatch(t.reqs)
+	if err != nil {
+		c := serve.CodeOf(err)
+		cn.writeError(t.corr, c, uint32(c.RetryAfter().Milliseconds()), err.Error())
+		s.tp.Sent(start)
 		return nil
 	}
-	if s.batchSize != nil {
-		s.batchSize.Observe(int64(len(t.qs)))
+	s.batchSize.Observe(int64(len(reps)))
+	if cap(t.wreps) < len(reps) {
+		t.wreps = make([]Reply, len(reps))
 	}
-	if cap(t.reqs) < len(t.qs) {
-		t.reqs = make([]serve.Request, len(t.qs))
-	}
-	t.reqs = t.reqs[:len(t.qs)]
-	mixed := false
-	for i := range t.qs {
-		q := &t.qs[i]
-		t.reqs[i] = serve.Request{
-			Type:      serve.QueryType(q.Type),
-			U:         q.U,
-			V:         q.V,
-			Priority:  serve.Priority(q.Priority),
-			Transport: "wire",
-		}
-		if q.DeadlineMS > 0 {
-			t.reqs[i].Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
-		}
-		if q.AllowDegraded || q.Priority > uint8(serve.PriorityLow) {
-			mixed = true
-		}
-	}
-	if cap(t.wreps) < len(t.qs) {
-		t.wreps = make([]Reply, len(t.qs))
-	}
-	t.wreps = t.wreps[:len(t.qs)]
-	if mixed {
-		// Mixed batch: answer entry by entry so each slot gets the exact
-		// semantics of the single-query path — validation errors surface per
-		// reply (like the HTTP batch handler's per-entry err fields) and
-		// AllowDegraded dist entries get the inline landmark bound. The
-		// client coalesces concurrent point queries into MsgBatch frames, so
-		// a query must mean the same thing in a batch as it does alone.
-		for i := range t.reqs {
-			q := &t.qs[i]
-			switch {
-			case q.Priority > uint8(serve.PriorityLow):
-				t.wreps[i] = Reply{Type: q.Type, U: q.U, V: q.V,
-					Code: CodeBadQuery, Detail: "bad priority"}
-			case q.AllowDegraded && serve.QueryType(q.Type) != serve.QueryDist:
-				t.wreps[i] = Reply{Type: q.Type, U: q.U, V: q.V,
-					Code: CodeBadQuery, Detail: "allowDegraded applies to dist queries only"}
-			case q.AllowDegraded:
-				s.fillReply(&t.wreps[i], eng.DegradedDist(q.U, q.V))
-			default:
-				s.fillReply(&t.wreps[i], eng.Query(t.reqs[i]))
-			}
-		}
-	} else {
-		for i, rep := range eng.QueryBatch(t.reqs) {
-			s.fillReply(&t.wreps[i], rep)
-		}
+	t.wreps = t.wreps[:len(reps)]
+	for i := range reps {
+		s.fillReply(&t.wreps[i], reps[i])
 	}
 	t.buf = AppendBatchReplyFrame(t.buf[:0], t.corr, t.wreps)
-	if s.requests != nil {
-		s.requests.Inc()
+	err = cn.write(t.buf)
+	s.tp.Sent(start)
+	return err
+}
+
+// request decodes a wire query into an engine request. Bytes out of range
+// pass through: the engine refuses them.
+func request(q *Query) serve.Request {
+	req := serve.Request{
+		Type:          serve.QueryType(q.Type),
+		U:             q.U,
+		V:             q.V,
+		Priority:      serve.Priority(q.Priority),
+		AllowDegraded: q.AllowDegraded,
 	}
-	return cn.write(t.buf)
+	if q.DeadlineMS > 0 {
+		req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
+	}
+	return req
 }
 
 func (s *Server) processHealthz(cn *sconn, t *stask) error {
@@ -534,18 +445,20 @@ func (s *Server) processHealthz(cn *sconn, t *stask) error {
 	return cn.write(t.buf)
 }
 
-// fillReply converts an engine reply, applying the same bound-presence rule
-// as the HTTP handler's toWire so both transports expose identical answers.
+// fillReply encodes an engine reply, stamping the cluster generation.
 func (s *Server) fillReply(w *Reply, r serve.Reply) {
 	w.Type = uint8(r.Type)
-	w.Code = CodeOK
+	w.Code = serve.CodeOf(r.Err)
 	w.Detail = ""
+	if r.Err != nil {
+		w.Detail = r.Err.Error()
+	}
 	w.Cached = r.Cached
 	w.Degraded = r.Degraded
 	w.Composed = r.Composed
 	w.U, w.V = r.U, r.V
 	w.Dist = r.Dist
-	w.HasBound = (r.Type == serve.QueryRoute && r.Bound != graph.Unreachable) || r.Composed
+	w.HasBound = r.HasBound()
 	w.Bound = 0
 	if w.HasBound {
 		w.Bound = r.Bound
@@ -553,34 +466,4 @@ func (s *Server) fillReply(w *Reply, r serve.Reply) {
 	w.Snapshot = r.SnapshotID
 	w.Gen = s.genOf(r.SnapshotID)
 	w.Path = append(w.Path[:0], r.Path...)
-	if r.Err != nil {
-		w.Code = CodeForErr(r.Err)
-		w.Detail = r.Err.Error()
-	}
-}
-
-// CodeForErr maps the engine's typed errors onto the wire taxonomy.
-func CodeForErr(err error) Code {
-	switch {
-	case err == nil:
-		return CodeOK
-	case errors.Is(err, serve.ErrNoRoute):
-		return CodeNoRoute
-	case errors.Is(err, serve.ErrBadVertex):
-		return CodeBadVertex
-	case errors.Is(err, serve.ErrBadQuery):
-		return CodeBadQuery
-	case errors.Is(err, serve.ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, serve.ErrDeadline):
-		return CodeDeadline
-	case errors.Is(err, serve.ErrClosed):
-		return CodeClosed
-	case errors.Is(err, serve.ErrBrownout):
-		return CodeBrownout
-	case errors.Is(err, serve.ErrPartitioned):
-		return CodePartitioned
-	default:
-		return CodeInternal
-	}
 }

@@ -571,19 +571,28 @@ func TestServerShutdownRacesHandshake(t *testing.T) {
 
 func TestServerObsMetrics(t *testing.T) {
 	ob := obs.New()
-	addr, _ := startWire(t, serve.Config{Shards: 1, Obs: ob}, ServerConfig{Obs: ob})
+	addr, eng := startWire(t, serve.Config{Shards: 1, Obs: ob}, ServerConfig{Obs: ob})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	rc.query(1, Query{Type: TypeDist, U: 1, V: 2})
-	snap := ob.Registry().Snapshot()
-	found := false
-	for _, m := range snap {
-		if m.Name == "transport.requests" && metricHasLabel(m.Labels, "transport", "wire") {
-			found = m.Value >= 1
+	rc.query(2, Query{Type: TypeDist, U: 1, V: 9999})
+	// The HTTP transport's entry into the same engine keeps its own series.
+	eng.Transport("json", ob).Query(serve.Request{Type: serve.QueryDist, U: 1, V: 2})
+	got := map[string]float64{}
+	for _, m := range ob.Registry().Snapshot() {
+		for _, tr := range []string{"wire", "json"} {
+			if metricHasLabel(m.Labels, "transport", tr) {
+				got[m.Name+"{"+tr+"}"] = m.Value
+			}
 		}
 	}
-	if !found {
-		t.Fatalf("no transport.requests{transport=wire} series in registry snapshot")
+	for series, want := range map[string]float64{
+		"transport.requests{wire}": 2, "transport.errors{wire}": 1,
+		"transport.requests{json}": 1, "transport.errors{json}": 0,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Fatalf("%s = %v (present %v), want %v", series, v, ok, want)
+		}
 	}
 }
 
@@ -594,4 +603,44 @@ func metricHasLabel(labels []obs.Label, k, v string) bool {
 		}
 	}
 	return false
+}
+
+// discardConn is a connection whose writes succeed and vanish; only Write
+// is called by the dispatch path.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestServerDispatchAllocs bounds the per-frame dispatch of one decoded
+// dist query — engine call, reply encode and write — at 2 allocs/op, with
+// and without metrics: the engine's per-query reply and wait group. A
+// request rule that allocated on this path would show here.
+func TestServerDispatchAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are inflated under -race instrumentation")
+	}
+	a := testArtifact(t, 80, 1)
+	for _, ob := range []*obs.Observer{nil, obs.New()} {
+		eng, err := serve.New(a, serve.Config{Shards: 1, CacheSize: 64, Obs: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		srv, err := NewServer(ServerConfig{Engine: eng, Obs: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cn := &sconn{srv: srv, c: discardConn{}}
+		dispatch := func() {
+			tk := srv.pool.Get().(*stask)
+			tk.corr, tk.typ, tk.q = 1, MsgQuery, Query{Type: TypeDist, U: 1, V: 2}
+			srv.process(cn, tk)
+		}
+		for i := 0; i < 20; i++ {
+			dispatch()
+		}
+		if allocs := testing.AllocsPerRun(500, dispatch); allocs > 2 {
+			t.Fatalf("obs=%v: dist dispatch allocates %.2f objects/op, want <= 2", ob != nil, allocs)
+		}
+	}
 }

@@ -37,6 +37,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"spanner/internal/serve"
 )
 
 // Protocol constants.
@@ -107,40 +109,26 @@ var (
 	ErrVersion   = errors.New("wire: protocol version mismatch")
 )
 
-// Code is the typed error taxonomy carried in Reply and Error frames — the
-// wire form of the serve package's sentinel errors (and of the client's
-// HTTP status mapping).
-type Code uint8
+// Code is the typed error taxonomy carried in Reply and Error frames: the
+// serve package's transport-neutral codes, whose numbering this protocol
+// fixes.
+type Code = serve.Code
 
 const (
-	CodeOK Code = iota
-	CodeNoRoute
-	CodeBadVertex
-	CodeBadQuery
-	CodeOverloaded
-	CodeDeadline
-	CodeClosed
-	CodeBrownout
-	CodePartitioned
-	CodeRejected // shed with a Retry-After hint (batch over limit)
-	CodeVersion  // handshake refused
-	CodeBadFrame // malformed frame; connection-fatal
-	CodeInternal
-	numCodes
+	CodeOK          = serve.CodeOK
+	CodeNoRoute     = serve.CodeNoRoute
+	CodeBadVertex   = serve.CodeBadVertex
+	CodeBadQuery    = serve.CodeBadQuery
+	CodeOverloaded  = serve.CodeOverloaded
+	CodeDeadline    = serve.CodeDeadline
+	CodeClosed      = serve.CodeClosed
+	CodeBrownout    = serve.CodeBrownout
+	CodePartitioned = serve.CodePartitioned
+	CodeRejected    = serve.CodeRejected
+	CodeVersion     = serve.CodeVersion
+	CodeBadFrame    = serve.CodeBadFrame
+	CodeInternal    = serve.CodeInternal
 )
-
-var codeNames = [numCodes]string{
-	"ok", "no-route", "bad-vertex", "bad-query", "overloaded", "deadline",
-	"closed", "brownout", "partitioned", "rejected", "version", "bad-frame",
-	"internal",
-}
-
-func (c Code) String() string {
-	if c < numCodes {
-		return codeNames[c]
-	}
-	return fmt.Sprintf("code-%d", uint8(c))
-}
 
 // Header is one decoded frame header.
 type Header struct {

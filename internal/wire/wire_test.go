@@ -19,6 +19,14 @@ func TestProtocolConstantsMatchServe(t *testing.T) {
 	if PriorityHigh != uint8(serve.PriorityHigh) || PriorityLow != uint8(serve.PriorityLow) {
 		t.Fatalf("priority bytes drifted from serve: high=%d low=%d", PriorityHigh, PriorityLow)
 	}
+	// Error codes are serve's, and their bytes are protocol version 1's.
+	for i, c := range []Code{CodeOK, CodeNoRoute, CodeBadVertex, CodeBadQuery, CodeOverloaded,
+		CodeDeadline, CodeClosed, CodeBrownout, CodePartitioned, CodeRejected, CodeVersion,
+		CodeBadFrame, CodeInternal} {
+		if uint8(c) != uint8(i) {
+			t.Fatalf("code %v is byte %d, protocol v1 says %d", c, uint8(c), i)
+		}
+	}
 }
 
 func readOne(t *testing.T, frame []byte) (Header, []byte) {
